@@ -7,8 +7,9 @@ fresh process so memo caches start cold as they do for users.  The
 and the workload's inputs, never from how fast the host is, so work
 counters repeat exactly for a given seed.  Between rounds, with nothing
 in flight, the host-speed probe is sampled; each round's wall time is
-rescaled to the reference host speed pinned in ``config.json``.  The
-*check* compares every returned record with the offline ``Evaluator``
+rescaled to the reference host speed pinned in ``config.json``, by the
+probe parts the workload's ``probe`` setting names.  The *check*
+compares every returned record with the offline ``Evaluator``
 reference for the same inputs.
 """
 
@@ -16,9 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import resource
+import signal
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,8 +129,16 @@ class Timeline:
                 "probe_us_max": max(self.probes_us),
                 "probe_samples": len(self.probes_us),
                 "probe_busy_pct": max(self.probe.busy_pct[self._first_probe:]),
-                "probe_wall_us": statistics.median(self.probe.wall_us[self._first_probe:]),
+                "probe_parts": self.probe.parts,
+                "probe_part_us": {
+                    part: statistics.median(series[self._first_probe:])
+                    for part, series in self.probe.part_us.items()
+                },
                 "probe_series_us": self.probes_us,
+                "probe_part_series_us": {
+                    part: series[self._first_probe:]
+                    for part, series in self.probe.part_us.items()
+                },
                 "round_seconds": self.round_seconds,
                 "blocks": blocks,
             },
@@ -157,6 +169,69 @@ def peak_rss_mb(pids: list[int]) -> float:
         except OSError:
             continue
     return total_kb / 1024.0
+
+
+# -- processes ----------------------------------------------------------------
+
+
+def run_child(argv: list[str], cwd: Path, timeout_s: float) -> subprocess.CompletedProcess:
+    """Run ``argv`` in a session of its own and wait for it.
+
+    On timeout every process of that session is killed and reaped, so a
+    stuck child leaves neither its pool workers nor its helpers behind.
+    """
+    with subprocess.Popen(
+        argv, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=timeout_s)
+        except BaseException:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.communicate()
+            raise
+    return subprocess.CompletedProcess(argv, child.returncode, stdout, stderr)
+
+
+def end_helper_processes(timeout_s: float = 10.0) -> None:
+    """End this process's ``multiprocessing`` children and resource tracker.
+
+    Starting a spawn-context process (the probe's helpers, the load
+    generator, the gateway's shards) also starts ``multiprocessing``'s
+    resource tracker, which would outlive this process by a moment.
+    Closing its pipe ends it; this waits until it has ended, and kills it
+    if it has not within ``timeout_s``.
+    """
+    for proc in multiprocessing.active_children():
+        proc.terminate()
+        proc.join(timeout_s)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    with tracker._lock:
+        fd, pid = tracker._fd, tracker._pid
+        tracker._fd = tracker._pid = None
+    if fd is None:
+        return
+    os.close(fd)
+    if pid is None:
+        return
+    deadline = time.monotonic() + timeout_s
+    try:
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return
+            time.sleep(0.005)
+    except ChildProcessError:
+        pass  # already reaped
 
 
 # -- offline reference -------------------------------------------------------

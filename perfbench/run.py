@@ -21,9 +21,10 @@ sources beside it, the run exits with status 2 and prints no result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -37,10 +38,12 @@ from common import (  # noqa: E402
     Context,
     Stopwatch,
     Timeline,
+    end_helper_processes,
     load_config,
     mismatches,
     peak_rss_mb,
     quality,
+    run_child,
 )
 
 WORKLOADS = ("eval_zoo", "serve_zipf_writes", "gateway_http")
@@ -89,9 +92,7 @@ def _child_args(args: argparse.Namespace, ctx: Context, *extra: str) -> list[str
 
 def _run_child(argv: list[str]) -> dict:
     """Run the benchmark in a child process and return its last output line."""
-    done = subprocess.run(
-        argv, cwd=ROOT, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S
-    )
+    done = run_child(argv, ROOT, CHILD_TIMEOUT_S)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise RuntimeError(f"child run failed with status {done.returncode}")
@@ -107,8 +108,10 @@ def _timed_setup(workload) -> dict:
 
 def _setup_only(ctx: Context) -> int:
     workload = _make_workload(ctx)
-    out = _timed_setup(workload)
-    workload.teardown()
+    try:
+        out = _timed_setup(workload)
+    finally:
+        workload.teardown()
     print(json.dumps(out))
     return 0
 
@@ -125,16 +128,18 @@ def _traced(ctx: Context):
 
 
 def _measure(ctx: Context, workload) -> dict:
-    """Set up, run the timed rounds with the probe between them, tear down."""
+    """Set up and run the timed rounds with the probe between them."""
     from probe import HostProbe
     from shims import reset_active
 
     out: dict = {}
-    with HostProbe(ctx.jobs) as probe:
+    parts = ctx.config[ctx.workload]["probe"]
+    reference_us = sum(ctx.config["reference_probe_us"][part] for part in parts)
+    with HostProbe(ctx.jobs, parts) as probe:
         out["setup"] = _timed_setup(workload)
         reset_active()
         probe.watch_pids = workload.program_pids()
-        timeline = Timeline(probe, ctx.config["reference_probe_us"])
+        timeline = Timeline(probe, reference_us)
         timeline.start()
         started = time.perf_counter()
         workload.measure(timeline)
@@ -149,7 +154,24 @@ def _measure(ctx: Context, workload) -> dict:
     return out
 
 
+def _terminated(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the workload; on every way out, wait until each process it started has ended.
+
+    SIGTERM unwinds like an exception, so a run stopped from outside
+    still tears the program down and ends its helpers.
+    """
+    signal.signal(signal.SIGTERM, _terminated)
+    try:
+        return _main(argv)
+    finally:
+        end_helper_processes()
+
+
+def _main(argv: list[str] | None) -> int:
     args = _parse(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: the program's sources are missing under {SRC}", file=sys.stderr)
@@ -184,17 +206,18 @@ def main(argv: list[str] | None = None) -> int:
         ]
 
     workload = _make_workload(ctx)
-    shims = None
+    shims = trace_scope = None
     if ctx.trace:
         shims, trace_scope = _traced(ctx)
-        with trace_scope:
+    with trace_scope or contextlib.nullcontext():
+        try:
             result = _measure(ctx, workload)
+        finally:
             workload.teardown()
-            shims.uninstall()
-            shims.merge_dumps()
-    else:
-        result = _measure(ctx, workload)
-        workload.teardown()
+            if shims is not None:
+                shims.uninstall()
+    if shims is not None:
+        shims.merge_dumps()
 
     answers = workload.answers()
     every = answers + workload.warm_answers()

@@ -94,6 +94,20 @@ def test_quartile_spread_is_a_share_of_the_median():
     )
 
 
+# -- the probe -------------------------------------------------------------------
+
+
+def test_a_probe_sample_sums_the_parts_it_runs():
+    from probe import HostProbe
+
+    with HostProbe(1, ["compute", "messages"]) as probe:
+        value = probe.sample()
+    assert value == pytest.approx(probe.part_us["compute"][0] + probe.part_us["messages"][0])
+    assert all(series[0] > 0 for series in probe.part_us.values())
+    with pytest.raises(ValueError):
+        HostProbe(1, ["disk"])
+
+
 # -- the metric declarations ---------------------------------------------------
 
 
@@ -148,6 +162,39 @@ def test_a_corrupted_reference_digest_fails_the_run(tmp_path):
     assert second.returncode == 1
     assert json.loads(second.stdout.splitlines()[-1])["correct"] is False
     assert "differ from the offline reference" in second.stderr
+
+
+def _session_members(session: int) -> list[int]:
+    """Pids of the live processes whose session id is ``session``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+def test_a_run_leaves_no_process_behind(tmp_path):
+    # gateway_http starts the most processes: probe helpers, shard workers,
+    # the load generator, and with them multiprocessing's resource tracker.
+    checkout = _checkout(tmp_path)
+    child = subprocess.Popen(
+        [sys.executable, "perfbench/run.py", "--workload", "gateway_http",
+         "--seed", "4", "--seconds", "1"],
+        cwd=checkout, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    status = child.wait(timeout=600)
+    left = _session_members(child.pid)
+    child.stderr.close()
+    assert status == 0
+    assert left == []
 
 
 def test_without_the_program_the_run_fails_and_prints_no_result(tmp_path):

@@ -127,8 +127,15 @@ def _traced(ctx: Context):
     return shims, tracing()
 
 
-def _measure(ctx: Context, workload) -> dict:
-    """Set up and run the timed rounds with the probe between them."""
+def _measure(ctx: Context, workload, setup_children: list[list[str]]) -> dict:
+    """Set up (each child in ``setup_children`` first, then this process)
+    and run the timed rounds with the probe between them.
+
+    Set-up passes are too short for probes around each to follow the
+    host; instead every set-up time is rescaled by the median of the
+    timed phase's probe samples, which follows how fast the host ran
+    over the whole run.
+    """
     from probe import HostProbe
     from shims import reset_active
 
@@ -136,7 +143,8 @@ def _measure(ctx: Context, workload) -> dict:
     parts = ctx.config[ctx.workload]["probe"]
     reference_us = sum(ctx.config["reference_probe_us"][part] for part in parts)
     with HostProbe(ctx.jobs, parts) as probe:
-        out["setup"] = _timed_setup(workload)
+        out["raw_setups"] = [_run_child(argv) for argv in setup_children]
+        out["raw_setups"].append(_timed_setup(workload))
         reset_active()
         probe.watch_pids = workload.program_pids()
         timeline = Timeline(probe, reference_us)
@@ -147,6 +155,7 @@ def _measure(ctx: Context, workload) -> dict:
         settings = ctx.config[ctx.workload]
         out["summary"] = timeline.summary(settings["tail_pct"], settings["blocks"])
         out["summary"]["host"]["probe_cores"] = probe.cores
+        out["setup_factor"] = reference_us / statistics.median(timeline.probes_us)
         out["release_lag_ms"] = [1000.0 * lag for lag in timeline.release_lags]
         out["peak_rss_mb"] = peak_rss_mb(workload.program_pids())
         out["counters"] = workload.counters()
@@ -196,14 +205,12 @@ def _main(argv: list[str] | None) -> int:
         return _setup_only(ctx)
 
     untraced = None
-    setup_repeats: list[dict] = []
+    setup_children: list[list[str]] = []
     if ctx.trace:
         untraced = _run_child(_child_args(args, ctx, "--trace", "0"))
     else:
         repeats = config[args.workload]["setup_repeats"]
-        setup_repeats = [
-            _run_child(_child_args(args, ctx, "--setup-only")) for _ in range(repeats - 1)
-        ]
+        setup_children = [_child_args(args, ctx, "--setup-only")] * (repeats - 1)
 
     workload = _make_workload(ctx)
     shims = trace_scope = None
@@ -211,7 +218,7 @@ def _main(argv: list[str] | None) -> int:
         shims, trace_scope = _traced(ctx)
     with trace_scope or contextlib.nullcontext():
         try:
-            result = _measure(ctx, workload)
+            result = _measure(ctx, workload, setup_children)
         finally:
             workload.teardown()
             if shims is not None:
@@ -230,9 +237,9 @@ def _main(argv: list[str] | None) -> int:
     busy_ok = host["probe_busy_pct"] <= config["max_probe_busy_pct"]
     correct = not wrong and busy_ok
 
-    setups = setup_repeats + [result["setup"]]
-    setup_values = [r["setup_s"] for r in setups]
-    build_values = [r["build_s"] for r in setups]
+    setups = result["raw_setups"]
+    setup_values = [r["setup_s"] * result["setup_factor"] for r in setups]
+    build_values = [r["build_s"] * result["setup_factor"] for r in setups]
     e2e = {
         "throughput_per_s": summary["throughput_per_s"],
         "p50_ms": summary["p50_ms"],
@@ -290,6 +297,7 @@ def _main(argv: list[str] | None) -> int:
             "rounds": summary["rounds"],
         },
         "host": {**host, "setup_s_values": setup_values, "build_s_values": build_values,
+                 "raw_setup_s_values": [r["setup_s"] for r in setups],
                  "measure_wall_s": result["measure_wall_s"]},
         "counters": result["counters"],
         "shares": result["shares"],

@@ -26,7 +26,6 @@ consumption, ``--check`` for an end-to-end self-test).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from contextlib import nullcontext
 
@@ -49,25 +48,10 @@ from repro.obs import (
 from repro.schema.stats import corpus_statistics
 
 
-def _build_dataset(benchmark: str, scale: float, seed: int, backend: str = "sqlite"):
-    _require_backend(backend)
+def _build_dataset(benchmark: str, scale: float, seed: int):
     if benchmark == "bird":
-        config = bird_like_config(scale=scale, seed=seed)
-    else:
-        config = spider_like_config(scale=scale, seed=seed)
-    if backend != config.backend:
-        config = dataclasses.replace(config, backend=backend)
-    return build_benchmark(config)
-
-
-def _require_backend(backend: str) -> None:
-    from repro.dbengine.backends import available_backends, backend_available
-
-    if not backend_available(backend):
-        raise SystemExit(
-            f"execution backend {backend!r} is not available "
-            f"(installed engines: {', '.join(available_backends())})"
-        )
+        return build_benchmark(bird_like_config(scale=scale, seed=seed))
+    return build_benchmark(spider_like_config(scale=scale, seed=seed))
 
 
 def _cmd_methods(_args: argparse.Namespace) -> int:
@@ -134,8 +118,7 @@ def _print_stage_breakdown(evaluator: ParallelEvaluator) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _build_dataset(args.benchmark, args.scale, args.seed,
-                             getattr(args, "backend", "sqlite"))
+    dataset = _build_dataset(args.benchmark, args.scale, args.seed)
     store = ExperimentLogStore(args.log_db) if args.log_db else None
     evaluator = _make_evaluator(dataset, args, store, not args.no_timing)
     reports = {}
@@ -175,8 +158,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    dataset = _build_dataset(args.benchmark, args.scale, args.seed,
-                             getattr(args, "backend", "sqlite"))
+    dataset = _build_dataset(args.benchmark, args.scale, args.seed)
     store = ExperimentLogStore(args.log_db) if args.log_db else None
     evaluator = _make_evaluator(dataset, args, store, measure_timing=False)
     examples = dataset.dev_examples[: args.subset]
@@ -210,8 +192,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    dataset = _build_dataset(args.benchmark, args.scale, args.seed,
-                             getattr(args, "backend", "sqlite"))
+    dataset = _build_dataset(args.benchmark, args.scale, args.seed)
     rows = []
     for split in ("train", "dev"):
         stats = corpus_statistics(dataset.schemas(split=split))
@@ -238,8 +219,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     from repro.extensions.query_rewriter import rewrite_question
-    dataset = _build_dataset(args.benchmark, args.scale, args.seed,
-                             getattr(args, "backend", "sqlite"))
+    dataset = _build_dataset(args.benchmark, args.scale, args.seed)
     database = next(iter(dataset.databases.values()))
     if args.db_id:
         database = dataset.database(args.db_id)
@@ -254,8 +234,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz_sqlkit(args: argparse.Namespace) -> int:
     from repro.sqlkit.differential import run_fuzz
-    if args.cross_engine is not None:
-        _require_backend(args.cross_engine)
     report = run_fuzz(
         seeds=args.seeds,
         benchmark=args.benchmark,
@@ -263,7 +241,6 @@ def _cmd_fuzz_sqlkit(args: argparse.Namespace) -> int:
         seed=args.seed,
         include_gold_corpus=not args.no_gold_corpus,
         max_divergences=args.max_divergences,
-        cross_backend=args.cross_engine,
     )
     print(report.summary())
     for divergence in report.divergences:
@@ -274,8 +251,7 @@ def _cmd_fuzz_sqlkit(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.core.compare import compare_methods
-    dataset = _build_dataset(args.benchmark, args.scale, args.seed,
-                             getattr(args, "backend", "sqlite"))
+    dataset = _build_dataset(args.benchmark, args.scale, args.seed)
     store = ExperimentLogStore(args.log_db) if args.log_db else None
     evaluator = _make_evaluator(dataset, args, store, measure_timing=False)
     with tracing() if args.trace else nullcontext() as tracer:
@@ -303,8 +279,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve.bench import main as bench_main
-    argv = ["--seed", str(args.seed), "--zipf", str(args.zipf), "--out", args.out,
-            "--backend", args.backend]
+    argv = ["--seed", str(args.seed), "--zipf", str(args.zipf), "--out", args.out]
     if args.quick:
         argv.append("--quick")
     if args.scale is not None:
@@ -429,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--benchmark", choices=["spider", "bird"], default="spider")
         p.add_argument("--scale", type=float, default=0.15)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--backend", default="sqlite", metavar="ENGINE",
-                       help="execution backend for the benchmark databases "
-                            "(sqlite; duckdb when installed)")
 
     def engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=None,
@@ -502,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the exhaustive gold-query round-trip pass")
     fuzz.add_argument("--max-divergences", type=int, default=25,
                       help="stop after reporting this many divergences")
-    fuzz.add_argument("--cross-engine", default=None, metavar="ENGINE",
-                      help="also run the cross-engine oracle family against "
-                           "this backend (e.g. duckdb; requires the package)")
     fuzz.set_defaults(func=_cmd_fuzz_sqlkit)
 
     compare = sub.add_parser(
@@ -526,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="small workload; skips the wall-clock gate")
     serve_bench.add_argument("--scale", type=float, default=None)
     serve_bench.add_argument("--seed", type=int, default=42)
-    serve_bench.add_argument("--backend", default="sqlite", metavar="ENGINE",
-                             help="execution backend for the served databases")
     serve_bench.add_argument("--requests", type=int, default=None)
     serve_bench.add_argument("--distinct", type=int, default=None)
     serve_bench.add_argument("--zipf", type=float, default=1.1)

@@ -64,18 +64,15 @@ from repro.sqlkit.features import SQLFeatures, extract_features
 GoldCache = dict[str, tuple[ExecutionResult, float]]
 
 
-def gold_key(example: Example, data_version: int = 0, backend: str = "sqlite") -> str:
-    """Cache key for one (db_id, backend, data_version, gold_sql) gold execution.
+def gold_key(example: Example, data_version: int = 0) -> str:
+    """Cache key for one distinct (db_id, data_version, gold_sql) gold execution.
 
     Keying on the database's ``data_version`` means a content mutation
     (``Database.mark_mutated``) invalidates the gold result along with
     every other execution memo — a mid-run mutation can never serve a
-    stale gold row set.  The execution backend is part of the key so a
-    gold result computed on one engine is never served for another
-    (results must be bit-identical across backends, but errors and
-    timings need not be).
+    stale gold row set.
     """
-    return f"{example.db_id}::{backend}::{data_version}::{example.gold_sql}"
+    return f"{example.db_id}::{data_version}::{example.gold_sql}"
 
 
 class Evaluator:
@@ -108,7 +105,7 @@ class Evaluator:
 
     def _gold_execution(self, example: Example) -> tuple[ExecutionResult, float]:
         database = self.dataset.database(example.db_id)
-        key = gold_key(example, database.data_version, database.backend_name)
+        key = gold_key(example, database.data_version)
         if key not in self._gold_cache:
             if self.measure_timing:
                 timed = timed_execute(
@@ -129,8 +126,8 @@ class Evaluator:
         """
         fresh = 0
         for example in examples:
-            database = self.dataset.database(example.db_id)
-            if gold_key(example, database.data_version, database.backend_name) not in self._gold_cache:
+            version = self.dataset.database(example.db_id).data_version
+            if gold_key(example, version) not in self._gold_cache:
                 self._gold_execution(example)
                 fresh += 1
         return fresh
@@ -146,10 +143,7 @@ class Evaluator:
         with trace.example(method.name, example.example_id) as span:
             database = self.dataset.database(example.db_id)
             prediction = method.predict(example, database)
-            gold_cached = (
-                gold_key(example, database.data_version, database.backend_name)
-                in self._gold_cache
-            )
+            gold_cached = gold_key(example, database.data_version) in self._gold_cache
             with trace.stage("execute") as stage:
                 stage.cache_hit = gold_cached
                 gold_result, gold_seconds = self._gold_execution(example)

@@ -340,8 +340,7 @@ class ParallelEvaluator:
             # worker's freshly-built dataset reproduces deterministically.
             gold_updates = {}
             for e in chunk:
-                database = self.dataset.database(e.db_id)
-                key = gold_key(e, database.data_version, database.backend_name)
+                key = gold_key(e, self.dataset.database(e.db_id).data_version)
                 gold_updates[key] = self._gold_cache[key]
             ids = [e.example_id for e in chunk]
             futures.append(pool.submit(_worker_evaluate, spec, ids, gold_updates))

@@ -184,11 +184,6 @@ class BenchmarkConfig:
     variants_per_question: int = 2
     require_nonempty_results: bool = True
     ambient_difficulty: float = 0.0
-    # Execution backend every database in this benchmark is built on
-    # ("sqlite" default, "duckdb" when installed).  Part of the config
-    # repr, so dataset fingerprints — and the parallel engine's
-    # cross-run result cache — never mix engines.
-    backend: str = "sqlite"
 
 
 def spider_like_config(scale: float = 1.0, seed: int = 42) -> BenchmarkConfig:
@@ -284,7 +279,7 @@ def _build_database(
         domain, db_index, seed=config.seed, wide=config.wide_schemas
     )
     schema.ambient_difficulty = config.ambient_difficulty
-    database = Database(schema, backend=config.backend)
+    database = Database(schema)
     populate_database(
         database, domain, rows_per_table=config.rows_per_table, seed=config.seed
     )

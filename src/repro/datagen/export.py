@@ -106,14 +106,6 @@ def export_spider_format(dataset: Dataset, path: str | Path) -> Path:
         (root / f"{split}.json").write_text(json.dumps(entries, indent=1))
     database_dir = root / "database"
     for db_id, database in dataset.databases.items():
-        # Spider's layout is .sqlite files; only backends exposing the
-        # sqlite3 backup API can emit them.
-        if not database.backend.capabilities.supports_backup:
-            raise DataGenerationError(
-                f"database {db_id!r} runs on the "
-                f"{database.backend_name!r} backend, which cannot export "
-                f"Spider-format .sqlite artifacts"
-            )
         target_dir = database_dir / db_id
         target_dir.mkdir(parents=True, exist_ok=True)
         target = sqlite3.connect(target_dir / f"{db_id}.sqlite")

@@ -1,24 +1,24 @@
-"""Database engine: materialization, safe execution, timing — pluggable.
+"""Database engine: SQLite materialization, safe execution, timing.
 
-Engines live behind the :class:`~repro.dbengine.backends.ExecutionBackend`
-adapter (``sqlite`` default, ``duckdb`` optional).  On the SQLite
-backend, reads run through a per-database pool of read-only replica
-connections (:mod:`repro.dbengine.pool`); the legacy locked
-shared-connection path remains available via :func:`pooling_disabled`
-for equivalence testing.  See docs/BACKENDS.md.
+Reads run through a per-database pool of read-only replica connections
+(:mod:`repro.dbengine.pool`); the legacy locked shared-connection path
+remains available via :func:`pooling_disabled` for equivalence testing.
+
+Three rules make executions pure given database content, which is what
+lets result caches, the serving response cache and cross-process shards
+agree:
+
+* ``Database.data_version`` advances, and mutation listeners fire, only
+  after a write has committed.
+* A failed ``insert_rows`` or ``apply_write`` leaves nothing behind: it
+  rolls back, so no partial rows and no open transaction survive for a
+  later commit to publish, and the version and listeners stay untouched.
+* Reads reject writes: a mutating candidate fails with SQLite's
+  ``attempt to write a readonly database`` on the pooled and the locked
+  path alike.
 """
 
-from repro.dbengine.backends import (
-    BackendCapabilities,
-    BackendUnavailableError,
-    ExecutionBackend,
-    available_backends,
-    backend_available,
-    create_backend,
-    register_backend,
-    registered_backends,
-)
-from repro.dbengine.database import Database, clone_database
+from repro.dbengine.database import Database
 from repro.dbengine.executor import ExecutionResult, execute_sql, results_match
 from repro.dbengine.pool import (
     DEFAULT_POOL_SIZE,
@@ -31,17 +31,8 @@ from repro.dbengine.pool import (
 from repro.dbengine.timing import TimedExecution, timed_execute, ves_ratio
 
 __all__ = [
-    "BackendCapabilities",
-    "BackendUnavailableError",
     "Database",
-    "ExecutionBackend",
     "ExecutionResult",
-    "available_backends",
-    "backend_available",
-    "clone_database",
-    "create_backend",
-    "register_backend",
-    "registered_backends",
     "execute_sql",
     "results_match",
     "TimedExecution",

@@ -1,45 +1,38 @@
-"""A populated database bound to a :class:`DatabaseSchema`.
+"""A populated SQLite database bound to a :class:`DatabaseSchema`.
 
-``Database`` is an engine-agnostic facade: it owns the schema model,
-the ``lock``, the monotonic ``data_version`` counter, the mutation
-listeners, and the value caches used by BRIDGE-style DB-content
-matching, while connections, DDL materialization, writes, and read-only
-execution live behind a pluggable
-:class:`~repro.dbengine.backends.ExecutionBackend` (``sqlite`` by
-default; ``duckdb`` when the optional package is installed).
+``Database`` owns a SQLite master connection (in-memory by default, or
+file-backed for persistence), materializes the schema's DDL, bulk-loads
+rows, and offers value lookups used by BRIDGE-style DB-content matching.
+It also owns the read-only replica pool that
+:func:`~repro.dbengine.executor.execute_sql` reads through: the pool is
+built with the database and closed with it.
 """
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
-from repro.dbengine.backends.base import ExecutionBackend, create_backend
-from repro.dbengine.pool import DEFAULT_POOL_SIZE, ReadConnectionPool
+from repro.dbengine.pool import ReadConnectionPool
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.ddl import render_schema_ddl
 from repro.schema.model import ColumnType, DatabaseSchema
 
 
 class Database:
-    """A live database plus its in-memory schema model."""
+    """A live SQLite database plus its in-memory schema model."""
 
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        path: str | Path | None = None,
-        pool_size: int = DEFAULT_POOL_SIZE,
-        backend: str | ExecutionBackend = "sqlite",
-    ) -> None:
+    def __init__(self, schema: DatabaseSchema, path: str | Path | None = None) -> None:
         self.schema = schema
-        self._path = str(path) if path is not None else None
-        if isinstance(backend, str):
-            backend = create_backend(backend, pool_size=pool_size)
-        self.backend = backend
-        self.backend.bind(self)
+        self._path = str(path) if path is not None else ":memory:"
+        # check_same_thread=False lets the parallel evaluator's thread pool
+        # share this connection; the lock serializes access.  Direct
+        # writers must call mark_mutated themselves.
+        self.connection = sqlite3.connect(self._path, check_same_thread=False)
         self.lock = threading.RLock()
-        self.backend.connect(self._path)
+        self.connection.execute("PRAGMA foreign_keys = ON")
         self._create_tables()
         self._value_cache: dict[tuple[str, str, int], list[object]] = {}
         # Monotonic content-version counter; execution caches key on it so
@@ -48,43 +41,34 @@ class Database:
         # Callbacks fired (with (db_id, new_version)) after every
         # data_version bump; the serving response cache subscribes here.
         self._mutation_listeners: list[Callable[[str, int], None]] = []
+        # Read-only replicas are opened on first checkout, not here.
+        self._pool = ReadConnectionPool(self)
 
     # -- lifecycle ------------------------------------------------------
 
     def _create_tables(self) -> None:
-        if self.backend.existing_tables():
+        existing = self.connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchone()
+        if existing is not None:
             return  # file-backed database already materialized
         ddl = render_schema_ddl(self.schema)
         statements = [part.strip() for part in ddl.split("\n\n") if part.strip()]
-        self.backend.materialize(statements)
+        self.connection.executescript(";\n\n".join(statements) + ";")
+        self.connection.commit()
 
     def close(self) -> None:
         with self.lock:
-            self.backend.close()
-
-    @property
-    def connection(self):  # noqa: ANN201 - engine-native handle
-        """The backend's master connection (``sqlite3.Connection`` for
-        the default backend).  Direct writers must call
-        :meth:`mark_mutated` themselves."""
-        return self.backend.connection
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the execution backend (e.g. ``"sqlite"``)."""
-        return self.backend.capabilities.name
+            self._pool.close()
+            self.connection.close()
 
     def read_pool(self) -> ReadConnectionPool:
-        """The lazily-created read-only replica pool for this database.
-
-        Only meaningful for replica-pool backends (sqlite); MVCC
-        backends raise — their reads need no replicas.
-        """
-        return self.backend.read_pool()
+        """The read-only replica pool for this database."""
+        return self._pool
 
     def pool_stats(self) -> dict[str, int]:
-        """Deterministic read-path counters (all zero before the first read)."""
-        return self.backend.read_stats()
+        """Deterministic pool counters (all zero before the first read)."""
+        return self._pool.stats.as_dict()
 
     def mark_mutated(self) -> None:
         """Record an out-of-band content mutation (e.g. a bulk restore).
@@ -119,9 +103,12 @@ class Database:
         """
         with self.lock:
             try:
-                affected = self.backend.apply_write(sql, tuple(params))
-            except ExecutionError as exc:
+                cursor = self.connection.execute(sql, tuple(params))
+                self.connection.commit()
+            except sqlite3.Error as exc:
+                self.connection.rollback()
                 raise ExecutionError(f"write failed on {self.db_id}: {exc}") from exc
+            affected = cursor.rowcount
         self.mark_mutated()
         return affected
 
@@ -171,16 +158,20 @@ class Database:
         rows = list(rows)
         with self.lock:
             try:
-                self.backend.insert_many(sql, rows)
-            except ExecutionError as exc:
+                self.connection.executemany(sql, rows)
+                self.connection.commit()
+            except sqlite3.Error as exc:
+                # Roll back so a failed batch leaves no partial rows parked
+                # in an open transaction for a later commit to publish.
+                self.connection.rollback()
                 raise ExecutionError(f"insert into {table_name} failed: {exc}", sql) from exc
             self.mark_mutated()
         return len(rows)
 
     def row_count(self, table_name: str) -> int:
         with self.lock:
-            rows = self.backend.run(f"SELECT COUNT(*) FROM {table_name}")
-            return int(rows[0][0])
+            cursor = self.connection.execute(f"SELECT COUNT(*) FROM {table_name}")
+            return int(cursor.fetchone()[0])
 
     # -- content access (BRIDGE-style value matching) --------------------
 
@@ -189,10 +180,10 @@ class Database:
         key = (table_name.lower(), column_name.lower(), int(limit))
         with self.lock:
             if key not in self._value_cache:
-                rows = self.backend.run(
+                cursor = self.connection.execute(
                     f"SELECT DISTINCT {column_name} FROM {table_name} LIMIT {int(limit)}"
                 )
-                self._value_cache[key] = [row[0] for row in rows]
+                self._value_cache[key] = [row[0] for row in cursor.fetchall()]
             return self._value_cache[key]
 
     def text_columns(self) -> list[tuple[str, str]]:
@@ -208,23 +199,3 @@ class Database:
         """Return up to ``count`` example values for prompt comments."""
         values = self.column_values(table_name, column_name)
         return values[:count]
-
-
-def clone_database(
-    database: Database,
-    backend: str,
-    pool_size: int = DEFAULT_POOL_SIZE,
-) -> Database:
-    """Materialize ``database``'s schema and content on another backend.
-
-    Used by the cross-engine differential oracle: the clone starts at
-    ``data_version == 1`` per populated table (its own counter), so
-    callers compare *content*, never version counters, across engines.
-    """
-    clone = Database(database.schema, backend=backend, pool_size=pool_size)
-    for table in database.schema.tables:
-        with database.lock:
-            rows = database.backend.run(f"SELECT * FROM {table.name}")
-        if rows:
-            clone.insert_rows(table.name, rows)
-    return clone

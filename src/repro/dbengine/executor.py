@@ -46,7 +46,7 @@ class ExecutionResult:
         return len(self.rows)
 
 
-def run_readonly_sqlite(
+def _run_readonly(
     connection: sqlite3.Connection,
     sql: str,
     max_rows: int,
@@ -96,10 +96,6 @@ def run_readonly_sqlite(
             connection.rollback()
 
 
-#: Back-compat alias; the canonical name says which engine it serves.
-_run_readonly = run_readonly_sqlite
-
-
 def execute_sql(
     database: Database,
     sql: str,
@@ -108,28 +104,36 @@ def execute_sql(
 ) -> ExecutionResult:
     """Execute ``sql`` read-only and return rows or a captured error.
 
-    Dispatches to the database's
-    :class:`~repro.dbengine.backends.ExecutionBackend`.  Errors are
-    captured in the result rather than raised so that evaluation loops
-    can score failing predictions as simply incorrect, and a bounded
-    interrupt (progress handler on SQLite, timer-driven ``interrupt()``
-    on DuckDB) caps runaway queries.
+    A progress-handler based interrupt bounds runaway queries; errors are
+    captured in the result rather than raised so that evaluation loops can
+    score failing predictions as simply incorrect.
 
-    Read-only is enforced, not assumed: on the default SQLite backend
-    the query runs against a pooled replica connection with ``PRAGMA
-    query_only`` set once at creation (see :mod:`repro.dbengine.pool`);
-    on DuckDB a statement guard rejects writes with the identical error
-    string.  Either way a mutating candidate fails and executions are
-    pure given the database content — a prerequisite for the
-    ``data_version``-keyed memo in :func:`execute_sql_cached` — and the
-    cached and uncached paths fail such candidates identically.  With
-    :func:`~repro.dbengine.pool.pooling_disabled` the backend's legacy
-    serialized path (shared connection under ``Database.lock``) is used
-    instead; results are bit-identical either way.
+    Read-only is enforced, not assumed: the query runs against a pooled
+    replica connection with ``PRAGMA query_only`` set once at creation
+    (see :mod:`repro.dbengine.pool`), so any mutating candidate fails and
+    executions are pure given the database content — a prerequisite for
+    the ``data_version``-keyed memo in :func:`execute_sql_cached` — and
+    the cached and uncached paths fail such candidates identically.
+    Replicas refresh from the master whenever ``data_version`` advanced,
+    and checkouts are exclusive, so queries from many threads run truly
+    concurrently with no cross-call PRAGMA or progress-handler
+    interleaving.  With :func:`~repro.dbengine.pool.pooling_disabled` the
+    legacy locked shared-connection path is used instead; results are
+    bit-identical either way.
     """
-    return database.backend.execute_readonly(
-        sql, max_rows=max_rows, timeout_ms=timeout_ms, serialized=not pooling_enabled()
-    )
+    if pooling_enabled():
+        with database.read_pool().checkout() as connection:
+            return _run_readonly(connection, sql, max_rows, timeout_ms)
+    connection = database.connection
+    # Legacy path: the database lock serializes concurrent executions on
+    # the one shared connection — the PRAGMA toggle and progress-handler
+    # install/remove below must not interleave between threads.
+    with database.lock:
+        connection.execute("PRAGMA query_only = ON")
+        try:
+            return _run_readonly(connection, sql, max_rows, timeout_ms)
+        finally:
+            connection.execute("PRAGMA query_only = OFF")
 
 
 def execute_sql_cached(

@@ -236,14 +236,13 @@ def ingest_pool_deltas(
     before: dict[str, int] | None,
     after: dict[str, int],
 ) -> None:
-    """Fold one run's read-path (replica pool / cursor) counter deltas.
+    """Fold one run's read-path (replica pool) counter deltas.
 
     ``before``/``after`` are summed ``Database.pool_stats()`` snapshots
     bracketing the run.  Emits ``pool_replicas`` / ``pool_checkouts`` /
     ``pool_refreshes`` / ``pool_waits`` so replica-pool contention is
-    comparable against concurrent-read backends (where refreshes and
-    waits stay zero by construction).  Zero deltas are skipped; a
-    ``None`` snapshot skips ingestion.
+    visible per run.  Zero deltas are skipped; a ``None`` snapshot skips
+    ingestion.
     """
     if before is None:
         return

@@ -42,7 +42,7 @@ _SCHEDULE_SENSITIVE_CACHE_KEYS = frozenset(
         "stage_memo_hits", "lru_cache_hits", "lru_cache_misses",
         "lru_cache_hit_pct", "serve_cache_hits", "serve_cache_misses",
         "serve_cache_evictions", "serve_spans_dropped",
-        # Read-path counters: how many replicas/cursors get created and
+        # Read-path counters: how many replicas get created and
         # which checkout pays a refresh depends on thread interleaving.
         "pool_replicas", "pool_checkouts", "pool_refreshes", "pool_waits",
         # Prompt-prefix-cache and batched-decode counters: which build
@@ -421,8 +421,7 @@ def render_markdown(report: RunReport) -> str:
         f"- read path: {cache.get('pool_checkouts', 0)} checkouts over "
         f"{cache.get('pool_replicas', 0)} replicas "
         f"({cache.get('pool_refreshes', 0)} refreshes, "
-        f"{cache.get('pool_waits', 0)} waits; zero refreshes/waits on "
-        f"concurrent-read backends)",
+        f"{cache.get('pool_waits', 0)} waits)",
         f"- prompt prefix cache: {cache.get('prefix_hits', 0)} segment hits / "
         f"{cache.get('prefix_misses', 0)} misses "
         f"({cache.get('prefix_hit_pct', 0.0)}% hit rate)",

@@ -56,7 +56,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from collections import Counter
@@ -202,12 +201,9 @@ def run_bench(
     cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE,
     cache_ttl_s: float | None = None,
     semantic_keys: bool = False,
-    backend: str = "sqlite",
 ) -> dict:
     """Run the full serving benchmark; returns the result document."""
-    dataset = build_benchmark(
-        replace(spider_like_config(scale=scale, seed=seed), backend=backend)
-    )
+    dataset = build_benchmark(spider_like_config(scale=scale, seed=seed))
     workload = build_workload(
         dataset,
         WorkloadSpec(
@@ -429,8 +425,8 @@ def run_bench(
         fill_misses = engine.stats.cache_misses
         database = dataset.databases[target_db]
         table, column = _mutable_text_column(database.schema)
-        # apply_write commits on the active backend and fires the
-        # engine's invalidation listener via mark_mutated.
+        # apply_write commits and fires the engine's invalidation
+        # listener via mark_mutated.
         database.apply_write(
             f"UPDATE {table} SET {column} = {column} || ' (edited)' "
             f"WHERE rowid IN (SELECT rowid FROM {table} LIMIT 1)"
@@ -481,7 +477,6 @@ def run_bench(
         "quick": quick,
         "scale": scale,
         "seed": seed,
-        "backend": backend,
         "cpu_count": os.cpu_count(),
         "requests": len(workload),
         "distinct_keys": len(distinct_keys),
@@ -521,7 +516,6 @@ def run_gateway_bench(
     shard_counts: tuple[int, ...] = GATEWAY_SHARD_COUNTS,
     volume_requests: int = GATEWAY_VOLUME_REQUESTS,
     quick: bool = False,
-    backend: str = "sqlite",
 ) -> dict:
     """Replay one seeded trace through the sharded gateway at each shard count.
 
@@ -534,9 +528,7 @@ def run_gateway_bench(
     from repro.serve.gateway.http import GatewayHTTPClient, GatewayHTTPServer
     from repro.serve.gateway.wire import record_digest, record_to_dict
 
-    dataset_config = replace(
-        spider_like_config(scale=scale, seed=seed), backend=backend
-    )
+    dataset_config = spider_like_config(scale=scale, seed=seed)
     serve_config = ServeConfig(
         methods=method_names,
         workers=2,
@@ -852,17 +844,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gateway-requests", type=int, default=None,
                         help="digest-pass volume per shard count "
                              f"(default: {GATEWAY_VOLUME_REQUESTS}; quick: 2000)")
-    parser.add_argument("--backend", default="sqlite", metavar="ENGINE",
-                        help="execution backend the benchmark databases run on")
     args = parser.parse_args(argv)
-
-    from repro.dbengine.backends import available_backends, backend_available
-
-    if not backend_available(args.backend):
-        parser.error(
-            f"execution backend {args.backend!r} is not available "
-            f"(installed engines: {', '.join(available_backends())})"
-        )
 
     if args.quick:
         defaults = {"scale": 0.05, "requests": 120, "distinct": 24,
@@ -884,7 +866,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_size=args.cache_size,
         cache_ttl_s=args.cache_ttl_s,
         semantic_keys=args.semantic_keys,
-        backend=args.backend,
     )
 
     problems = []
@@ -948,7 +929,6 @@ def main(argv: list[str] | None = None) -> int:
             shard_counts=shard_counts,
             volume_requests=volume,
             quick=args.quick,
-            backend=args.backend,
         )
         result["gateway"] = gateway_result
         gate_messages = {

@@ -169,12 +169,6 @@ class ServeConfig:
     #: Enable the post-execution self-repair stage on every served
     #: method (``config.repair = "pattern_lm"``, see docs/PIPELINE.md).
     repair: bool = False
-    #: Expected execution backend of the served dataset (``None``
-    #: accepts any).  The engine validates this at construction so a
-    #: gateway worker handed a mismatched dataset fails loudly instead
-    #: of silently serving from a different engine than the coordinator
-    #: benchmarked.
-    backend: str | None = None
 
 
 @dataclass
@@ -365,17 +359,6 @@ class ServingEngine:
             self._databases = {
                 db_id: dataset.databases[db_id] for db_id in self.config.db_ids
             }
-        if self.config.backend is not None:
-            mismatched = sorted(
-                db_id
-                for db_id, database in self._databases.items()
-                if database.backend_name != self.config.backend
-            )
-            if mismatched:
-                raise ServeError(
-                    f"config expects backend {self.config.backend!r} but "
-                    f"databases {mismatched} run on a different engine"
-                )
         # An injected cache (e.g. one with a LogicalClock for TTL tests)
         # wins over the config knobs; otherwise build from the config.
         if response_cache is not None:

@@ -35,7 +35,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.datagen.benchmark import BenchmarkConfig, Dataset
-from repro.dbengine.backends import available_backends, backend_available
 from repro.dbengine.pool import pooling_enabled
 from repro.llm.engine import batching_enabled
 from repro.errors import GatewayError
@@ -184,15 +183,6 @@ class ShardedGateway:
         if self._closed:
             raise GatewayError("gateway is closed and cannot be restarted")
         context = multiprocessing.get_context("spawn")
-        # Fail before spawning when the configured engine cannot exist in
-        # the workers: a spawn-side import error would otherwise surface
-        # as an opaque dead-pipe GatewayError per shard.
-        expected_backend = self.dataset_config.backend
-        if not backend_available(expected_backend):
-            raise GatewayError(
-                f"execution backend {expected_backend!r} is not available "
-                f"(installed engines: {', '.join(available_backends())})"
-            )
         switches = {
             "pooling": pooling_enabled(),
             "caches": caches_enabled(),
@@ -214,17 +204,9 @@ class ShardedGateway:
             self._workers.append(_WorkerHandle(shard_id, process, parent_conn))
         self._started = True
         # The ping reply arrives only after the worker finishes dataset
-        # build + warm start, so this doubles as the readiness barrier —
-        # and as the backend handshake: every shard must serve from the
-        # same engine the coordinator's dataset was built on.
+        # build + warm start, so this doubles as the readiness barrier.
         for handle in self._workers:
-            reply = self._call(handle, ("ping",))
-            worker_backend = reply.get("backend", "sqlite")
-            if worker_backend != expected_backend:
-                raise GatewayError(
-                    f"shard {handle.shard_id} runs backend "
-                    f"{worker_backend!r}, expected {expected_backend!r}"
-                )
+            self._call(handle, ("ping",))
         return self
 
     def close(self) -> None:

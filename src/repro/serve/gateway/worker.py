@@ -144,8 +144,5 @@ def _dispatch(message, engine, dataset, tracer, shard_id, owned):
             "pooling": pooling_enabled(),
             "caches": caches_enabled(),
             "batching": batching_enabled(),
-            # The execution backend this worker's rebuilt dataset runs
-            # on — the parent asserts it matches the coordinator's.
-            "backend": dataset.config.backend if dataset.config else "sqlite",
         }
     raise ValueError(f"unknown gateway op {op!r}")

@@ -19,14 +19,6 @@ layer with three oracle families:
 3. **Executor oracles** — ``results_match`` must be symmetric, stable
    under row reordering when order does not matter, and must never
    equate results that were silently truncated at the row cap.
-4. **Cross-engine oracles** (opt-in via ``cross_backend``) — the same
-   query over the same content must produce equivalent result sets on
-   two execution backends (e.g. SQLite vs DuckDB); each primary
-   database is mirrored onto the second engine with
-   :func:`~repro.dbengine.database.clone_database` and every checked
-   query runs on both.  Error *strings* may differ across engines (both
-   failing counts as equivalent); a success/failure or row-set mismatch
-   is a divergence, clause-minimized on the primary engine pair.
 
 SQL flows from three sources: the gold queries of ``datagen``-built
 benchmarks, corruption-mutated variants of their intents (the
@@ -47,8 +39,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.dbengine.backends import backend_available
-from repro.dbengine.database import Database, clone_database
+from repro.dbengine.database import Database
 from repro.dbengine.executor import ExecutionResult, execute_sql, results_match
 from repro.errors import ReproError, SQLError
 from repro.sqlkit.ast_nodes import (
@@ -71,7 +62,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: datagen itself imports sqlkit
 FAMILY_ROUND_TRIP = "round-trip"
 FAMILY_METAMORPHIC_EM = "metamorphic-em"
 FAMILY_EXECUTOR = "executor"
-FAMILY_CROSS_ENGINE = "cross-engine"
 
 _MIRROR_COMPARISONS = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
@@ -366,22 +356,12 @@ class DifferentialFuzzer:
         datasets: list[Dataset],
         seed: int = 42,
         max_divergences: int = 25,
-        cross_backend: str | None = None,
     ) -> None:
         if not datasets:
             raise ValueError("DifferentialFuzzer needs at least one dataset")
-        if cross_backend is not None and not backend_available(cross_backend):
-            raise ValueError(
-                f"cross-engine backend {cross_backend!r} is not available"
-            )
         self.datasets = datasets
         self.seed = seed
         self.max_divergences = max_divergences
-        self.cross_backend = cross_backend
-        # Lazily-cloned mirror databases on the second engine, keyed by
-        # the primary Database's identity (db_ids can repeat across
-        # datasets).
-        self._mirrors: dict[int, Database] = {}
         self._pools: list[tuple[Database, list[Example]]] = []
         for dataset in datasets:
             by_db: dict[str, list[Example]] = {}
@@ -389,19 +369,6 @@ class DifferentialFuzzer:
                 by_db.setdefault(example.db_id, []).append(example)
             for db_id, examples in sorted(by_db.items()):
                 self._pools.append((dataset.database(db_id), examples))
-
-    def close(self) -> None:
-        """Close the cross-engine mirror databases (primaries are the
-        caller's to manage)."""
-        for mirror in self._mirrors.values():
-            mirror.close()
-        self._mirrors.clear()
-
-    def _mirror(self, database: Database) -> Database:
-        key = id(database)
-        if key not in self._mirrors:
-            self._mirrors[key] = clone_database(database, self.cross_backend)
-        return self._mirrors[key]
 
     # -- oracle families ------------------------------------------------
 
@@ -549,36 +516,6 @@ class DifferentialFuzzer:
                     database.db_id,
                 )
 
-    def check_cross_engine(
-        self, sql: str, database: Database, report: FuzzReport
-    ) -> None:
-        """Family 4: the same query over the same content must produce
-        equivalent results on both execution backends."""
-        if self.cross_backend is None:
-            return
-        try:
-            statement = parse_select(sql)
-        except SQLError:
-            report.skipped += 1
-            return
-        mirror = self._mirror(database)
-        report.count(FAMILY_CROSS_ENGINE)
-        primary = execute_sql(database, sql)
-        secondary = execute_sql(mirror, sql)
-        ordered = bool(statement.order_by)
-        if not _cross_engine_equivalent(primary, secondary, ordered):
-            minimized = minimize_failure(
-                sql,
-                lambda candidate: not _cross_engine_equivalent_sql(
-                    candidate, database, mirror
-                ),
-            )
-            self._diverge(
-                report, FAMILY_CROSS_ENGINE, "result-equivalence", minimized, sql,
-                _cross_engine_diff(primary, secondary, database, mirror),
-                database.db_id,
-            )
-
     # -- drivers --------------------------------------------------------
 
     def check_gold_corpus(self, report: FuzzReport) -> None:
@@ -596,7 +533,6 @@ class DifferentialFuzzer:
                 seen.add(key)
                 self.check_round_trip(example.gold_sql, database, report)
                 self.check_metamorphic_em(example.gold_sql, database, report)
-                self.check_cross_engine(example.gold_sql, database, report)
                 if len(report.divergences) >= self.max_divergences:
                     return
 
@@ -616,7 +552,6 @@ class DifferentialFuzzer:
                 continue
             self.check_round_trip(sql, database, report)
             self.check_metamorphic_em(sql, database, report)
-            self.check_cross_engine(sql, database, report)
             other = self._draw_sql(examples, database, rng)
             if other is not None:
                 self.check_executor(sql, other, database, report)
@@ -689,55 +624,6 @@ def _execution_diff(original: ExecutionResult, normalized: ExecutionResult) -> s
     return (
         "normalize_sql changed the result set "
         f"({len(original.rows)} rows vs {len(normalized.rows)} rows)"
-    )
-
-
-def _cross_engine_equivalent(
-    primary: ExecutionResult, secondary: ExecutionResult, ordered: bool
-) -> bool:
-    if primary.ok != secondary.ok:
-        return False
-    if not primary.ok:
-        # Both engines rejected the query; their error *strings* are
-        # engine-worded and deliberately not compared.
-        return True
-    if primary.truncated != secondary.truncated:
-        return False
-    if primary.truncated:
-        # Two row-capped prefixes of an unordered result need not agree
-        # across engines; equivalence is undecidable from the prefix.
-        return True
-    return results_match(primary, secondary, order_matters=ordered) and results_match(
-        secondary, primary, order_matters=ordered
-    )
-
-
-def _cross_engine_equivalent_sql(
-    sql: str, database: Database, mirror: Database
-) -> bool:
-    try:
-        statement = parse_select(sql)
-    except SQLError:
-        return True  # unparseable candidates are vacuously fine
-    primary = execute_sql(database, sql)
-    secondary = execute_sql(mirror, sql)
-    return _cross_engine_equivalent(primary, secondary, bool(statement.order_by))
-
-
-def _cross_engine_diff(
-    primary: ExecutionResult,
-    secondary: ExecutionResult,
-    database: Database,
-    mirror: Database,
-) -> str:
-    names = f"{database.backend_name} vs {mirror.backend_name}"
-    if primary.ok != secondary.ok:
-        failing = secondary if primary.ok else primary
-        side = mirror.backend_name if primary.ok else database.backend_name
-        return f"engines disagree on outcome ({names}): {side} failed: {failing.error}"
-    return (
-        f"engines disagree on the result set ({names}): "
-        f"{len(primary.rows)} rows vs {len(secondary.rows)} rows"
     )
 
 
@@ -854,26 +740,14 @@ def run_fuzz(
     seed: int = 42,
     include_gold_corpus: bool = True,
     max_divergences: int = 25,
-    cross_backend: str | None = None,
 ) -> FuzzReport:
-    """Build the fuzz corpus, run the harness, and return the report.
-
-    ``cross_backend`` additionally mirrors every database onto that
-    engine and runs the cross-engine oracle family on every checked
-    query (requires the engine package, e.g. ``duckdb``).
-    """
+    """Build the fuzz corpus, run the harness, and return the report."""
     datasets = build_fuzz_datasets(benchmark=benchmark, scale=scale, seed=seed)
-    fuzzer = None
     try:
         fuzzer = DifferentialFuzzer(
-            datasets,
-            seed=seed,
-            max_divergences=max_divergences,
-            cross_backend=cross_backend,
+            datasets, seed=seed, max_divergences=max_divergences
         )
         return fuzzer.run(seeds=seeds, include_gold_corpus=include_gold_corpus)
     finally:
-        if fuzzer is not None:
-            fuzzer.close()
         for dataset in datasets:
             dataset.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.evaluator import Evaluator
+from repro.core.evaluator import Evaluator, gold_key
 from repro.core.logs import ExperimentLogStore
 from repro.methods.zoo import build_method
 
@@ -37,6 +37,12 @@ class TestEvaluator:
         method = build_method("C3SQL")
         evaluator.evaluate_method(method, examples=small_dataset.dev_examples[:5])
         assert len(evaluator._gold_cache) == cache_size  # same golds, no growth
+
+    def test_gold_key_separates_data_versions(self, small_dataset):
+        # A content mutation must never serve a gold result computed
+        # before it.
+        example = small_dataset.dev_examples[0]
+        assert gold_key(example, 3) != gold_key(example, 4)
 
     def test_subset_evaluation(self, small_dataset):
         evaluator = Evaluator(small_dataset, measure_timing=False)

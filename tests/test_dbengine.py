@@ -11,6 +11,7 @@ from repro.dbengine.executor import (
 )
 from repro.dbengine.timing import timed_execute, ves_ratio
 from repro.errors import ExecutionError, SchemaError
+from tests.conftest import AIRPORT_ROWS
 
 
 class TestDatabase:
@@ -184,3 +185,59 @@ class TestTimingEstimator:
         timed = timing.timed_execute(toy_db, "SELECT * FROM flights", repeats=3)
         # Samples are 0.030, 0.005, 0.010 seconds -> min is 0.005.
         assert timed.seconds == pytest.approx(0.005)
+
+
+class TestWriteTransactionality:
+    """A failed write rolls back, keeps ``data_version`` and fires no
+    listener; a successful one notifies only after its commit."""
+
+    def test_failed_insert_rolls_back_partial_rows(self, toy_db):
+        # Second row violates the primary key; the first must not stay.
+        with pytest.raises(ExecutionError):
+            toy_db.insert_rows(
+                "airports",
+                [(90, "Ridge Field", "Tulsa", 200), (1, "Dup PK", "X", 5)],
+            )
+        assert toy_db.row_count("airports") == len(AIRPORT_ROWS)
+
+    def test_failed_insert_leaves_no_open_transaction(self, toy_db):
+        with pytest.raises(ExecutionError):
+            toy_db.insert_rows(
+                "airports",
+                [(91, "Mesa Strip", "Reno", 40), (1, "Dup PK", "X", 5)],
+            )
+        # Regression: the partial batch used to sit in an open
+        # transaction, silently committed by the next unrelated commit.
+        assert not toy_db.connection.in_transaction
+        toy_db.apply_write("UPDATE flights SET price = price WHERE flight_id = 1")
+        assert toy_db.row_count("airports") == len(AIRPORT_ROWS)
+
+    def test_failed_insert_fires_no_listener_and_keeps_version(self, toy_db):
+        events = []
+        toy_db.add_mutation_listener(lambda db_id, version: events.append(version))
+        version = toy_db.data_version
+        with pytest.raises(ExecutionError):
+            toy_db.insert_rows("airports", [(1, "Dup PK", "X", 5)])
+        assert toy_db.data_version == version
+        assert events == []
+
+    def test_failed_apply_write_fires_no_listener_and_keeps_version(self, toy_db):
+        events = []
+        toy_db.add_mutation_listener(lambda db_id, version: events.append(version))
+        version = toy_db.data_version
+        with pytest.raises(ExecutionError, match="write failed on toy_flights"):
+            toy_db.apply_write("UPDATE airports SET airport_id = 1")
+        assert toy_db.data_version == version
+        assert events == []
+        assert not toy_db.connection.in_transaction
+
+    def test_successful_write_bumps_version_after_commit(self, toy_db):
+        versions_seen = []
+        toy_db.add_mutation_listener(
+            lambda db_id, version: versions_seen.append(
+                (version, toy_db.row_count("airports"))
+            )
+        )
+        toy_db.insert_rows("airports", [(95, "Dune Field", "Yuma", 60)])
+        # The listener ran after the commit: it observed the new row.
+        assert versions_seen == [(toy_db.data_version, len(AIRPORT_ROWS) + 1)]

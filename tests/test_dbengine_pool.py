@@ -22,6 +22,7 @@ from repro.dbengine.pool import (
     pooling_enabled,
 )
 from repro.errors import ExecutionError
+from tests.conftest import AIRPORT_ROWS, make_toy_schema
 
 
 class TestReadConnectionPool:
@@ -103,6 +104,15 @@ class TestReadConnectionPool:
             with pool.checkout():
                 pass  # pragma: no cover - checkout must raise
 
+    def test_read_after_close_raises_and_opens_nothing(self, toy_schema):
+        database = Database(toy_schema)
+        database.close()
+        with pytest.raises(ExecutionError, match="read connection pool is closed"):
+            execute_sql(database, "SELECT COUNT(*) FROM airports")
+        assert database.pool_stats() == {
+            "created": 0, "checkouts": 0, "refreshes": 0, "waits": 0,
+        }
+
     def test_invalid_size_rejected(self, toy_db):
         with pytest.raises(ValueError):
             ReadConnectionPool(toy_db, size=0)
@@ -112,6 +122,31 @@ class TestReadConnectionPool:
         with pooling_disabled():
             assert not pooling_enabled()
         assert pooling_enabled()
+
+
+class TestReplicaRefreshUnderMutation:
+    def test_checked_out_replica_survives_version_bump(self, toy_db):
+        pool = toy_db.read_pool()
+        with pool.checkout() as replica:
+            # Bump data_version while this replica is in use: the held
+            # snapshot stays readable (stale by design)...
+            toy_db.insert_rows("airports", [(96, "Cliff Top", "Moab", 1200)])
+            stale = replica.execute("SELECT COUNT(*) FROM airports").fetchone()[0]
+            assert stale == len(AIRPORT_ROWS)
+        # ...and the next checkout pays a refresh and sees the write.
+        refreshes_before = toy_db.pool_stats()["refreshes"]
+        result = execute_sql(toy_db, "SELECT COUNT(*) FROM airports")
+        assert result.rows[0][0] == len(AIRPORT_ROWS) + 1
+        assert toy_db.pool_stats()["refreshes"] == refreshes_before + 1
+
+    def test_pool_stats_zero_before_first_read(self):
+        database = Database(make_toy_schema())
+        try:
+            assert database.pool_stats() == {
+                "created": 0, "checkouts": 0, "refreshes": 0, "waits": 0,
+            }
+        finally:
+            database.close()
 
 
 class TestSharedConnectionRaceRegression:
@@ -162,9 +197,10 @@ class TestSharedConnectionRaceRegression:
         assert not failures, failures[:5]
         assert toy_db.row_count("airports") == 5
         assert toy_db.row_count("flights") == 6
-        # Every read went through the pool, bounded by its size.
+        # Every read went through the pool, one checkout per call (two
+        # calls per round), bounded by its size.
         stats = toy_db.pool_stats()
-        assert stats["checkouts"] >= self.N_THREADS * self.N_ROUNDS
+        assert stats["checkouts"] == 2 * self.N_THREADS * self.N_ROUNDS
         assert 1 <= stats["created"] <= toy_db.read_pool().size
 
     def test_hammer_results_identical_with_pooling_disabled(self, toy_db):

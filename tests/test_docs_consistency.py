@@ -214,6 +214,12 @@ class TestServingDocs:
                 f"{symbol} missing from docs/SERVING.md"
             )
 
+    def test_pool_counter_names_are_documented(self):
+        from repro.dbengine import PoolStats
+        reference = _read("docs/SERVING.md")
+        for counter in PoolStats().as_dict():
+            assert f"`{counter}`" in reference, counter
+
 
 class TestGatewayDocs:
     def test_every_gateway_public_symbol_is_documented(self):
@@ -426,73 +432,3 @@ class TestLLMEngineDocs:
         assert "`batching_disabled()`" in readme
         assert "tests/test_llm_engine.py" in readme
         assert (ROOT / "tests" / "test_llm_engine.py").exists()
-
-
-class TestBackendDocs:
-    def test_reference_exists_and_is_linked(self):
-        assert (ROOT / "docs" / "BACKENDS.md").exists()
-        assert "docs/BACKENDS.md" in _read("README.md")
-        assert "docs/BACKENDS.md" in _read("DESIGN.md")
-
-    def test_every_backend_public_symbol_is_documented(self):
-        import repro.dbengine.backends as backends
-        reference = _read("docs/BACKENDS.md")
-        for symbol in backends.__all__:
-            assert f"`{symbol}`" in reference, (
-                f"repro.dbengine.backends.{symbol} missing from docs/BACKENDS.md"
-            )
-
-    def test_every_capability_flag_is_documented(self):
-        import dataclasses
-        from repro.dbengine.backends import BackendCapabilities
-        reference = _read("docs/BACKENDS.md")
-        for caps_field in dataclasses.fields(BackendCapabilities):
-            assert f"`{caps_field.name}`" in reference, (
-                f"BackendCapabilities.{caps_field.name} missing from "
-                f"docs/BACKENDS.md"
-            )
-
-    def test_every_registered_backend_is_documented(self):
-        from repro.dbengine.backends import registered_backends
-        reference = _read("docs/BACKENDS.md")
-        for name in registered_backends():
-            assert f"`{name}`" in reference, name
-
-    def test_adapter_methods_are_documented(self):
-        import inspect
-        from repro.dbengine.backends import ExecutionBackend
-        reference = _read("docs/BACKENDS.md")
-        for name, member in inspect.getmembers(ExecutionBackend):
-            if getattr(member, "__isabstractmethod__", False):
-                assert f"`{name}(" in reference or f"`{name}`" in reference, (
-                    f"abstract ExecutionBackend.{name} missing from "
-                    f"docs/BACKENDS.md"
-                )
-
-    def test_readonly_error_string_matches_code(self):
-        # The backend-invariant rejection string is documented verbatim.
-        from repro.dbengine.backends import duckdb as duckdb_module
-        reference = _read("docs/BACKENDS.md")
-        assert duckdb_module._READONLY_ERROR in reference
-
-    def test_pool_counter_names_are_documented(self):
-        from repro.dbengine.backends import ExecutionBackend
-        reference = _read("docs/BACKENDS.md")
-        stats = ExecutionBackend.read_stats(object.__new__(SQLiteProbe))
-        for counter in stats:
-            assert f"`{counter}`" in reference, counter
-
-    def test_backend_flag_and_bench_are_documented(self):
-        reference = _read("docs/BACKENDS.md")
-        assert "`--backend`" in reference
-        assert "scripts/bench_dbengine.py" in reference
-        assert (ROOT / "scripts" / "bench_dbengine.py").exists()
-        assert (ROOT / "BENCH_dbengine.json").exists()
-
-    def test_serve_backend_knob_exists(self):
-        import dataclasses
-        from repro.serve import ServeConfig
-        assert "backend" in {f.name for f in dataclasses.fields(ServeConfig)}
-
-
-from repro.dbengine.backends import SQLiteBackend as SQLiteProbe  # noqa: E402

@@ -10,8 +10,9 @@ Hot-path memo layers (all bit-identical on vs off, see
 ``repro.utils.cache``): prepared methods select few-shot examples
 through the shared :class:`~repro.modules.retrieval.FewShotIndex`, the
 simulated model memoizes honestly-parsed intents per question, PICARD
-verdicts and candidate executions are memoized per schema/database, and
-untimed predicted-SQL scoring reuses the candidate-execution LRU.
+verdicts and candidate executions are memoized per schema/database,
+untimed predicted-SQL scoring reuses the candidate-execution LRU, and
+schema linking memoizes its string similarities per process.
 
 Observability: when a tracer is installed (``repro.obs.tracing()``),
 ``evaluate_example`` opens an example span with ``execute``/``score``

@@ -29,7 +29,8 @@ Determinism: prediction randomness flows through keyed RNG streams
 order, so sharding does not change results.  With ``measure_timing``
 off, parallel output is bit-identical to the sequential evaluator's.
 The hot-path memo layers (few-shot index, intent memo, PICARD verdict
-memo, candidate-execution LRU — see ``repro.utils.cache``) are adopted
+memo, candidate-execution LRU, schema-linking string memos — see
+``repro.utils.cache``) are adopted
 transparently: thread workers share the coordinator's process-level
 memos, process workers rebuild them lazily via each method's
 ``prepare`` (the few-shot index registry is keyed by corpus content),

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.schema.model import Column, DatabaseSchema, Table
+from repro.utils.cache import gated_lru_cache
 from repro.utils.text import jaccard, normalized_similarity, singularize, tokenize_words
+
+# Memo bounds, sized from the distinct keys one process sees over the
+# Spider-like and BIRD-like suites: about 3.9k (phrase, schema name) pairs
+# and 1.2k phrase strings.  A full pair memo holds about 3 MB.
+_SIMILARITY_CACHE_SIZE = 8192
+_TOKENS_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -31,12 +38,19 @@ class LinkedColumn:
     score: float
 
 
-def _phrase_tokens(phrase: str) -> list[str]:
-    return [singularize(token) for token in tokenize_words(phrase)]
+@gated_lru_cache(maxsize=_TOKENS_CACHE_SIZE)
+def _phrase_tokens(phrase: str) -> tuple[str, ...]:
+    return tuple(singularize(token) for token in tokenize_words(phrase))
 
 
+@gated_lru_cache(maxsize=_SIMILARITY_CACHE_SIZE)
 def phrase_similarity(a: str, b: str) -> float:
-    """Blend of token-set Jaccard and character-level similarity."""
+    """Blend of token-set Jaccard and character-level similarity.
+
+    Memoized per process: the intent parser and the column/table rankers
+    score the same (phrase, schema name) pairs for every question over a
+    schema.
+    """
     tokens_a, tokens_b = _phrase_tokens(a), _phrase_tokens(b)
     token_score = jaccard(tokens_a, tokens_b)
     char_score = normalized_similarity(" ".join(tokens_a), " ".join(tokens_b))
@@ -111,14 +125,14 @@ class SchemaLinker:
     def relevant_tables(self, question: str, top_k: int = 4) -> list[str]:
         """Tables likely referenced by ``question``, for prompt pruning.
 
-        Scores each table by the best similarity between any of its
-        phrases (table name, column names) and the question's token
-        windows; returns up to ``top_k`` table names, always at least one.
+        Scores each table by the best token-set overlap between any of
+        its phrases (table name, column names) and the question's tokens;
+        returns up to ``top_k`` table names, always at least one.
         """
-        question_tokens = _phrase_tokens(question)
+        question_set = set(_phrase_tokens(question))
         scores: list[tuple[float, str]] = []
         for table in self.schema.tables:
-            best = self._table_evidence(table, question_tokens)
+            best = self._table_evidence(table, question_set)
             scores.append((best, table.name))
         scores.sort(key=lambda pair: (-pair[0], pair[1]))
         selected = [name for score, name in scores[:top_k] if score > 0.2]
@@ -126,11 +140,7 @@ class SchemaLinker:
             selected = [scores[0][1]]
         return selected
 
-    def _table_evidence(self, table: Table, question_tokens: list[str]) -> float:
-        question_set = set(question_tokens)
-        best = jaccard(_phrase_tokens(table.display_name), question_set & set(
-            _phrase_tokens(table.display_name)
-        )) if question_set else 0.0
+    def _table_evidence(self, table: Table, question_set: set[str]) -> float:
         table_tokens = set(_phrase_tokens(table.display_name))
         best = len(table_tokens & question_set) / max(len(table_tokens), 1)
         for column in table.columns:

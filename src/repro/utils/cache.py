@@ -17,6 +17,9 @@ response cache:
   :func:`set_caches_enabled`, and the :func:`caches_disabled` context
   manager — that lets equivalence tests (and debugging sessions) run the
   exact same pipeline with every memo layer bypassed.
+* :func:`gated_lru_cache` — a bounded ``functools.lru_cache`` for pure
+  string functions (schema-linking similarity, tokens, identifiers)
+  that the same switch bypasses.
 
 The switch gates *lookups and stores*, not correctness: with caches on
 or off the pipeline must produce bit-identical results, which
@@ -25,6 +28,7 @@ or off the pipeline must produce bit-identical results, which
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import weakref
@@ -297,3 +301,26 @@ def caches_disabled() -> Iterator[None]:
         yield
     finally:
         set_caches_enabled(previous)
+
+
+def gated_lru_cache(maxsize: int) -> Callable[[Callable], Callable]:
+    """A bounded ``functools.lru_cache`` whose lookups obey the global switch.
+
+    For pure functions of immutable (string) arguments.  While caches are
+    enabled a call goes through the memo; under :func:`caches_disabled`
+    it runs the undecorated body, so the memo neither hits nor fills.
+    The returned function keeps the memo's ``cache_info`` and, via
+    ``__wrapped__``, the plain body.
+    """
+
+    def decorate(function: Callable) -> Callable:
+        memo = functools.lru_cache(maxsize=maxsize)(function)
+
+        @functools.wraps(function)
+        def gated(*args):
+            return memo(*args) if _ENABLED else function(*args)
+
+        gated.cache_info = memo.cache_info
+        return gated
+
+    return decorate

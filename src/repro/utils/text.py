@@ -8,8 +8,16 @@ value matching, DAIL-SQL's question-similarity example selection).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
+
+from repro.utils.cache import gated_lru_cache
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+
+# Schema identifiers are few (about 340 distinct names per process over
+# the Spider-like and BIRD-like suites); the bound only caps a pathological
+# caller.
+_IDENTIFIER_CACHE_SIZE = 4096
 
 # Equivalence classes of interchangeable question phrasings, mirroring the
 # paraphrase rewrites in repro.datagen.paraphrase.  The first member of
@@ -85,6 +93,7 @@ def tokenize_words(text: str) -> list[str]:
     return [match.group(0).lower() for match in _WORD_RE.finditer(spaced)]
 
 
+@gated_lru_cache(maxsize=_IDENTIFIER_CACHE_SIZE)
 def normalize_identifier(name: str) -> str:
     """Normalize a schema identifier to a canonical space-joined form."""
     return " ".join(tokenize_words(name))
@@ -129,34 +138,63 @@ def singularize(word: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Compute the Levenshtein edit distance between two strings."""
+    """Compute the Levenshtein edit distance between two strings.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for global edit
+    distance): the shorter string is the pattern, each of its distinct
+    characters gets a bit mask of its positions, and one column of the
+    DP matrix is advanced per character of the longer string as vertical
+    and horizontal +1/-1 delta bit vectors.  Python ints are unbounded,
+    so one int holds the vectors for a pattern of any length; every
+    complement is masked back to the pattern length.  Same result as the
+    O(n*m) table.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    match_masks: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        match_masks[char] = match_masks.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    positive, negative = mask, 0
+    distance = len(b)
+    for char in a:
+        eq = match_masks.get(char, 0)
+        vertical = eq | negative
+        horizontal = (((eq & positive) + positive) ^ positive) | eq
+        h_positive = negative | (~(horizontal | positive) & mask)
+        h_negative = positive & horizontal
+        if h_positive & last:
+            distance += 1
+        elif h_negative & last:
+            distance -= 1
+        h_positive = ((h_positive << 1) | 1) & mask
+        h_negative = (h_negative << 1) & mask
+        positive = h_negative | (~(vertical | h_positive) & mask)
+        negative = h_positive & vertical
+    return distance
 
 
 def normalized_similarity(a: str, b: str) -> float:
-    """Return 1 - normalized edit distance, in [0, 1]."""
+    """Return 1 - normalized edit distance, in [0, 1].
+
+    Case-insensitive.  Lengths are taken after lowering, because
+    lowering can change a string's length (``"İ".lower()`` is two code
+    points).
+    """
+    a, b = a.lower(), b.lower()
     if not a and not b:
         return 1.0
-    distance = levenshtein(a.lower(), b.lower())
-    return 1.0 - distance / max(len(a), len(b))
+    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
-def jaccard(a: set[str] | list[str], b: set[str] | list[str]) -> float:
+def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     """Jaccard similarity of two token collections."""
     set_a, set_b = set(a), set(b)
     if not set_a and not set_b:

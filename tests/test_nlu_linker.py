@@ -1,6 +1,21 @@
 """Tests for schema linking."""
 
-from repro.nlu.linker import SchemaLinker, phrase_similarity
+import pytest
+
+from repro.nlu.linker import SchemaLinker, _phrase_tokens, phrase_similarity
+from repro.utils.cache import caches_disabled
+from repro.utils.text import normalize_identifier
+
+_PHRASES = ["airport name", "airports", "flight_id", "AirportCode", "price", ""]
+_MEMOS = [
+    pytest.param(
+        phrase_similarity, [(a, b) for a in _PHRASES for b in _PHRASES], id="phrase_similarity"
+    ),
+    pytest.param(_phrase_tokens, [(phrase,) for phrase in _PHRASES], id="phrase_tokens"),
+    pytest.param(
+        normalize_identifier, [(phrase,) for phrase in _PHRASES], id="normalize_identifier"
+    ),
+]
 
 
 class TestPhraseSimilarity:
@@ -15,6 +30,33 @@ class TestPhraseSimilarity:
 
     def test_unrelated_low(self):
         assert phrase_similarity("elevation", "price") < 0.4
+
+
+@pytest.mark.parametrize("memo,calls", _MEMOS)
+class TestStringMemos:
+    """The schema-linking string memos are pure and obey ``caches_disabled``."""
+
+    def test_memo_equals_body(self, memo, calls):
+        for args in calls:
+            first, second = memo(*args), memo(*args)
+            assert first == second == memo.__wrapped__(*args)
+
+    def test_repeat_call_hits(self, memo, calls):
+        memo(*calls[0])
+        before = memo.cache_info().hits
+        memo(*calls[0])
+        assert memo.cache_info().hits == before + 1
+
+    def test_disabled_caches_bypass_memo(self, memo, calls):
+        for args in calls:
+            memo(*args)
+        before = memo.cache_info()
+        with caches_disabled():
+            for args in calls:
+                memo(*args)
+        after = memo.cache_info()
+        assert after.hits == before.hits
+        assert after.currsize == before.currsize
 
 
 class TestTableLinking:

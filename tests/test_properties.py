@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlkit.exact_match import exact_match
 from repro.sqlkit.features import extract_features
@@ -66,6 +66,28 @@ def simple_queries(draw):
 # -- utils properties -----------------------------------------------------------
 
 
+def levenshtein_reference(a: str, b: str) -> int:
+    """The O(n*m) dynamic-programming edit distance (reference oracle)."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            cost = 0 if char_a == char_b else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+# Few-letter alphabets make long strings that share many characters, so the
+# bit-parallel carries travel far; the astral characters cover non-BMP text.
+_edit_texts = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="ab c\u00e9\U0001f600\U00010348", min_size=50, max_size=160),
+)
+
+
 class TestRngProperties:
     @given(st.integers(), st.text(max_size=30))
     def test_stable_hash_deterministic(self, seed, key):
@@ -89,7 +111,15 @@ class TestTextProperties:
     def test_levenshtein_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
+    @settings(max_examples=300)
+    @given(_edit_texts, _edit_texts)
+    @example("x" * 70 + "\U0001f600", "\U0001f600" + "x" * 69)
+    @example("ab" * 40, "ba" * 41)
+    def test_levenshtein_matches_reference(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
     @given(st.text(max_size=40), st.text(max_size=40))
+    @example("İ", "")  # lowers to two code points
     def test_normalized_similarity_bounded(self, a, b):
         assert 0.0 <= normalized_similarity(a, b) <= 1.0
 

@@ -277,34 +277,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import main as bench_main
-    argv = ["--seed", str(args.seed), "--zipf", str(args.zipf), "--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.scale is not None:
-        argv += ["--scale", str(args.scale)]
-    if args.requests is not None:
-        argv += ["--requests", str(args.requests)]
-    if args.distinct is not None:
-        argv += ["--distinct", str(args.distinct)]
-    if args.methods:
-        argv += ["--methods", *args.methods]
-    argv.append("--response-cache" if args.response_cache else "--no-response-cache")
-    argv += ["--cache-size", str(args.cache_size)]
-    if args.cache_ttl_s is not None:
-        argv += ["--cache-ttl-s", str(args.cache_ttl_s)]
-    if args.semantic_keys:
-        argv.append("--semantic-keys")
-    if args.gateway:
-        argv.append("--gateway")
-        if args.shards:
-            argv += ["--shards", *[str(count) for count in args.shards]]
-        if args.gateway_requests is not None:
-            argv += ["--gateway-requests", str(args.gateway_requests)]
-    return bench_main(argv)
-
-
 def _report_run_check() -> int:
     """End-to-end self-test: trace a tiny run, persist it, re-render it."""
     import json
@@ -486,41 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("method_a")
     compare.add_argument("method_b")
     compare.set_defaults(func=_cmd_compare)
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the online serving engine (throughput, p50/p95/p99)",
-    )
-    serve_bench.add_argument("--quick", action="store_true",
-                             help="small workload; skips the wall-clock gate")
-    serve_bench.add_argument("--scale", type=float, default=None)
-    serve_bench.add_argument("--seed", type=int, default=42)
-    serve_bench.add_argument("--requests", type=int, default=None)
-    serve_bench.add_argument("--distinct", type=int, default=None)
-    serve_bench.add_argument("--zipf", type=float, default=1.1)
-    serve_bench.add_argument("--methods", nargs="+", default=None)
-    serve_bench.add_argument("--response-cache", default=True,
-                             action=argparse.BooleanOptionalAction,
-                             help="measure the cross-request response cache tier")
-    serve_bench.add_argument("--cache-size", type=int, default=4096,
-                             help="response cache capacity (entries)")
-    serve_bench.add_argument("--cache-ttl-s", type=float, default=None,
-                             help="response cache TTL in seconds (default: no TTL)")
-    serve_bench.add_argument("--semantic-keys", action="store_true",
-                             help="cache on paraphrase-normalized question keys "
-                                  "(measured correctness risk)")
-    serve_bench.add_argument("--gateway", action="store_true",
-                             help="also benchmark the sharded multi-process "
-                                  "gateway (per-shard p50/p95/p99, scaling)")
-    serve_bench.add_argument("--shards", type=int, nargs="+", default=None,
-                             help="gateway shard counts to sweep "
-                                  "(default: 1 2 4; quick: 1 2)")
-    serve_bench.add_argument("--gateway-requests", type=int, default=None,
-                             help="gateway digest-pass request volume per "
-                                  "shard count (default: 120000; quick: 2000)")
-    serve_bench.add_argument("--out", default="BENCH_serve.json",
-                             help="result JSON path")
-    serve_bench.set_defaults(func=_cmd_serve_bench)
 
     report_run = sub.add_parser(
         "report-run", help="render a persisted run's observability report"

@@ -49,7 +49,7 @@ def match_db_content(
                 if value is None:
                     continue
                 text = str(value)
-                if text.lower() == span_lower or span_lower in text.lower():
+                if span_lower in text.lower():
                     hits.append(text)
                 elif fuzzy and normalized_similarity(text, span) >= fuzzy_threshold:
                     hits.append(text)

@@ -8,7 +8,8 @@ LLM-call/token counters, cache-hit flags, hot-path memo-hit counters, and a fail
 :func:`repro.core.taxonomy.classify_failure`.  :func:`build_run_trace`
 groups the flat span stream into the canonical ``run -> method ->
 example -> stage`` hierarchy; :func:`stage_breakdown` aggregates the
-per-stage timing table used by run reports and ``scripts/bench_eval.py``.
+per-stage timing table used by run reports and ``perfbench``'s
+``stage.*`` metrics.
 
 Inputs/outputs: instrumented code fetches the ambient tracer via
 :func:`get_tracer` (installed with :func:`set_tracer` or the

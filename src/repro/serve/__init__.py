@@ -7,12 +7,12 @@ member requests' decoder draws run through the model's batched
 ``generate_many`` path (bit-identical candidates, hoisted per-question
 work); :mod:`repro.serve.cache` is the cross-request response cache tier
 (TTL+LRU, ``data_version``-invalidated); :mod:`repro.serve.workload`
-generates seeded Zipf-skewed request streams; :mod:`repro.serve.bench`
-is the load-generator benchmark behind ``python -m repro serve-bench``
-and ``BENCH_serve.json``; :mod:`repro.serve.gateway` shards databases
-across spawn-context worker processes behind an async HTTP gateway
-(``/query`` / ``/healthz`` / ``/metrics``).  See docs/SERVING.md for
-the architecture and knob reference.
+generates seeded Zipf-skewed request streams; :mod:`repro.serve.gateway`
+shards databases across spawn-context worker processes behind an async
+HTTP gateway (``/query`` / ``/healthz`` / ``/metrics``).  See
+docs/SERVING.md for the architecture and knob reference; serving speed
+is measured by the ``serve_zipf_writes`` and ``gateway_http`` workloads
+of ``perfbench/``.
 
 Served responses are bit-identical to offline
 :class:`~repro.core.evaluator.Evaluator` records under any concurrency,

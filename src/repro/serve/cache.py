@@ -6,10 +6,8 @@ the tier above in-flight coalescing, which only deduplicates
 db_id, normalized_question, data_version)``:
 
 * the question is canonicalized with
-  :func:`repro.utils.text.normalize_question` (whitespace/case only by
-  default; the opt-in ``semantic`` mode also folds paraphrase
-  equivalence classes, trading a measurable correctness risk for
-  cross-paraphrase hits);
+  :func:`repro.utils.text.normalize_question` (whitespace and case
+  only, never wording, so the key is exact);
 * the database's ``data_version`` is part of the key, so a content
   mutation structurally orphans every cached record for that database —
   a stale entry can never match a post-mutation lookup.
@@ -50,10 +48,8 @@ class ResponseCache:
         self,
         maxsize: int = DEFAULT_RESPONSE_CACHE_SIZE,
         ttl_s: float | None = None,
-        semantic: bool = False,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        self.semantic = bool(semantic)
         self.ttl_s = ttl_s
         self._cache = TTLCache(maxsize=maxsize, ttl=ttl_s, clock=clock)
         self._lock = threading.Lock()
@@ -64,12 +60,7 @@ class ResponseCache:
         self, method: str, db_id: str, question: str, data_version: int
     ) -> tuple[str, str, str, int]:
         """The cache identity of one request against one database state."""
-        return (
-            method,
-            db_id,
-            normalize_question(question, semantic=self.semantic),
-            int(data_version),
-        )
+        return (method, db_id, normalize_question(question), int(data_version))
 
     def lookup(
         self, method: str, db_id: str, question: str, data_version: int
@@ -96,7 +87,7 @@ class ResponseCache:
 
         Version-keyed lookups already structurally miss stale entries;
         this eagerly reclaims their memory and feeds the deterministic
-        ``invalidations`` counter the benchmark gates on.  Returns the
+        ``invalidations`` counter the tests gate on.  Returns the
         number of purged entries.
         """
 

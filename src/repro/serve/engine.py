@@ -156,7 +156,6 @@ class ServeConfig:
     response_cache: bool = False
     response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE
     response_cache_ttl_s: float | None = None
-    semantic_cache_keys: bool = False
     #: Restrict the engine to this subset of the dataset's databases
     #: (``None`` serves all).  Gateway shard workers set it to their
     #: ring-owned ``db_id``s so warmup, mutation listeners, and replica
@@ -367,7 +366,6 @@ class ServingEngine:
             self.response_cache = ResponseCache(
                 maxsize=self.config.response_cache_size,
                 ttl_s=self.config.response_cache_ttl_s,
-                semantic=self.config.semantic_cache_keys,
             )
         else:
             self.response_cache = None
@@ -626,7 +624,7 @@ class ServingEngine:
 
         ``submit_paused`` holds the scheduler until all requests are
         queued — every duplicate key then coalesces deterministically,
-        which the serve benchmark and tests rely on.
+        which the tests rely on.
         """
         if submit_paused:
             self.pause()

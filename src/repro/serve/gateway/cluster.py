@@ -18,9 +18,8 @@ caches) in the handshake; nothing is inherited by accident.
 Inputs/outputs: a picklable
 :class:`~repro.datagen.benchmark.BenchmarkConfig` +
 :class:`~repro.serve.engine.ServeConfig` in;
-:class:`~repro.serve.engine.ServeResponse` lists (or compact digest
-tuples), per-shard stats dicts, and merged Prometheus-ready metric
-exports out.
+:class:`~repro.serve.engine.ServeResponse` lists, per-shard stats
+dicts, and merged Prometheus-ready metric exports out.
 
 Thread/process safety: all public methods are safe from any thread —
 each worker pipe has a dedicated send lock and reader thread, and
@@ -271,20 +270,13 @@ class ShardedGateway:
     def serve_many(
         self,
         requests: list[ServeRequest],
-        mode: str = "full",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> list:
-        """Route a batch to owner shards; results come back in request order.
+    ) -> list[ServeResponse]:
+        """Route a batch to owner shards; responses come back in request order.
 
-        ``mode="full"`` returns :class:`ServeResponse` objects;
-        ``mode="digest"`` returns compact ``(status, cached, coalesced,
-        error, record_digest, total_s)`` tuples, trading record payloads
-        for pipe throughput on high-volume passes.  Chunks for different
-        shards are in flight concurrently; chunks for one shard are
-        pipelined in order on its pipe.
+        Chunks for different shards are in flight concurrently; chunks
+        for one shard are pipelined in order on its pipe.
         """
-        if mode not in ("full", "digest"):
-            raise GatewayError(f"unknown serve mode {mode!r}")
         if chunk_size <= 0:
             raise GatewayError("chunk_size must be positive")
         by_shard: dict[int, list[tuple[int, ServeRequest]]] = {}
@@ -307,7 +299,7 @@ class ShardedGateway:
                 items = [
                     (r.method, r.db_id, r.question, r.deadline_s) for _, r in chunk
                 ]
-                in_flight.append((indices, self._send(handle, ("serve", items, mode))))
+                in_flight.append((indices, self._send(handle, ("serve", items))))
         results: list = [None] * len(requests)
         failures: list[str] = []
         for indices, pending in in_flight:
@@ -325,8 +317,8 @@ class ShardedGateway:
         return results
 
     def serve(self, requests: list[ServeRequest]) -> list[ServeResponse]:
-        """Alias of :meth:`serve_many` in full mode (engine-compatible shape)."""
-        return self.serve_many(requests, mode="full")
+        """Alias of :meth:`serve_many` (engine-compatible shape)."""
+        return self.serve_many(requests)
 
     def ask(
         self, method: str, db_id: str, question: str,

@@ -3,9 +3,9 @@
 One canonical JSON-able shape per payload: evaluation records flatten
 to plain dicts (enums as their ``.value``), serve responses carry the
 record plus the typed status/error envelope, and ``record_digest``
-hashes the canonical form so high-volume passes can assert
-bit-identical results without shipping full records across the
-process boundary.
+hashes the canonical form so a record can be checked for bit-identity
+against a stored digest (``perfbench`` checks every returned record
+this way).
 
 Inputs/outputs: :class:`~repro.core.metrics.EvaluationRecord` /
 :class:`~repro.serve.engine.ServeResponse` objects in; sorted-key

@@ -19,8 +19,8 @@ every request gets a ``(batch_id, ("ok" | "error", payload))`` reply.
 
 Inputs/outputs: pipe messages in (``serve`` / ``apply`` /
 ``invalidate`` / ``stats`` / ``metrics`` / ``ping`` / ``shutdown``);
-pickled :class:`~repro.serve.engine.ServeResponse` lists, digest
-tuples, counter dicts, or registry exports out.
+pickled :class:`~repro.serve.engine.ServeResponse` lists, counter
+dicts, or registry exports out.
 
 Thread/process safety: ``worker_main`` owns its process and services
 the pipe from one loop; the parent must serialize sends per worker
@@ -38,25 +38,12 @@ from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
-from repro.serve.gateway.wire import record_digest
 from repro.utils.cache import caches_enabled, set_caches_enabled
 
 
 def owned_db_ids(dataset_db_ids: list[str], shard_id: int, ring: HashRing) -> list[str]:
     """The sorted slice of ``dataset_db_ids`` this shard owns."""
     return [db_id for db_id in sorted(dataset_db_ids) if ring.owner(db_id) == shard_id]
-
-
-def _digest_response(response) -> tuple:
-    """Compact deterministic projection for high-volume passes."""
-    return (
-        response.status.value,
-        response.cached,
-        response.coalesced,
-        response.error,
-        record_digest(response.record),
-        response.total_s,
-    )
 
 
 def worker_main(
@@ -107,15 +94,11 @@ def _serve_loop(conn, engine, dataset, tracer, shard_id, owned) -> None:
 def _dispatch(message, engine, dataset, tracer, shard_id, owned):
     op = message[0]
     if op == "serve":
-        _, _, items, mode = message
-        requests = [
+        _, _, items = message
+        return engine.serve([
             ServeRequest(method, db_id, question, deadline_s)
             for method, db_id, question, deadline_s in items
-        ]
-        responses = engine.serve(requests)
-        if mode == "digest":
-            return [_digest_response(response) for response in responses]
-        return responses
+        ])
     if op == "apply":
         _, _, db_id, sql = message
         database = dataset.databases[db_id]

@@ -1,4 +1,4 @@
-"""Seeded, Zipf-skewed request workloads for the serving benchmark.
+"""Seeded, Zipf-skewed request workloads for serving tests and demos.
 
 Real NL2SQL traffic is heavily repeated — a few popular questions
 dominate — which is exactly what in-flight coalescing exploits.

@@ -19,51 +19,6 @@ _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 # caller.
 _IDENTIFIER_CACHE_SIZE = 4096
 
-# Equivalence classes of interchangeable question phrasings, mirroring the
-# paraphrase rewrites in repro.datagen.paraphrase.  The first member of
-# each class is the canonical representative; every member (lowercase)
-# maps onto it.  Used only for *semantic* cache keys — the base
-# normalization never rewrites words.
-_SEMANTIC_CLASSES: tuple[tuple[str, ...], ...] = (
-    ("show the", "list the", "display the", "give me the"),
-    ("what is the", "tell me the"),
-    ("how many", "count how many"),
-    ("is greater than", "is more than"),
-    ("is less than", "is under"),
-    ("is at least", "is no less than"),
-    ("is at most", "is no more than"),
-    ("sorted by", "ordered by"),
-    ("of all", "of the"),
-    ("whose", "with"),
-    ("average", "mean"),
-    ("maximum", "biggest"),
-    ("minimum", "smallest"),
-    ("total", "sum of the"),
-    ("have no", "do not have any"),
-    ("have at least one", "are linked to some"),
-    ("showing only the top", "limited to the first"),
-    ("in descending order", "from highest to lowest"),
-    ("in ascending order", "from lowest to highest"),
-    ("together with", "along with"),
-    ("are there", "exist"),
-)
-
-# phrase -> canonical representative, longest phrases matched first so a
-# member embedded in a longer member ("how many" in "count how many",
-# "with" in "along with") never fires at the wrong position.  Including
-# each representative as its own key makes the rewrite idempotent.
-_SEMANTIC_CANONICAL: dict[str, str] = {
-    member: members[0] for members in _SEMANTIC_CLASSES for member in members
-}
-_SEMANTIC_RE = re.compile(
-    r"\b(?:"
-    + "|".join(
-        re.escape(phrase)
-        for phrase in sorted(_SEMANTIC_CANONICAL, key=len, reverse=True)
-    )
-    + r")\b"
-)
-
 # Irregular plural forms that a naive "strip the s" rule would mangle.
 _IRREGULAR_SINGULARS = {
     "people": "person",
@@ -99,28 +54,16 @@ def normalize_identifier(name: str) -> str:
     return " ".join(tokenize_words(name))
 
 
-def normalize_question(question: str, semantic: bool = False) -> str:
+def normalize_question(question: str) -> str:
     """Canonicalize one NL question for request identity and cache keys.
 
-    The base form collapses runs of whitespace and casefolds, so
-    trivially-different repeats ("List flights ", "list  flights") share
-    one identity; it never changes wording, making it safe for exact
-    coalescing/cache keys.  With ``semantic=True`` trailing punctuation
-    is stripped and interchangeable phrasings (the
-    :mod:`repro.datagen.paraphrase` rewrite pairs) are folded onto one
-    representative per equivalence class — a lossy key that trades a
-    measurable correctness risk for cross-paraphrase cache hits.
-
-    Both forms are idempotent: ``normalize_question(normalize_question(q,
-    s), s) == normalize_question(q, s)``.
+    Collapses runs of whitespace and casefolds, so trivially-different
+    repeats ("List flights ", "list  flights") share one identity; it
+    never changes wording, which makes it safe for exact coalescing and
+    cache keys.  Idempotent: ``normalize_question(normalize_question(q))
+    == normalize_question(q)``.
     """
-    normalized = " ".join(question.split()).casefold()
-    if not semantic:
-        return normalized
-    normalized = normalized.rstrip(" ?.!")
-    return _SEMANTIC_RE.sub(
-        lambda match: _SEMANTIC_CANONICAL[match.group(0)], normalized
-    )
+    return " ".join(question.split()).casefold()
 
 
 def singularize(word: str) -> str:

@@ -84,6 +84,32 @@ def small_benchmark_config(seed: int = 42) -> BenchmarkConfig:
     )
 
 
+def mutable_text_column(schema: DatabaseSchema) -> tuple[str, str]:
+    """A (table, column) safe to rewrite in place: TEXT, non-key, non-FK."""
+    fk_columns = set()
+    for fk in schema.foreign_keys:
+        fk_columns.add((fk.source_table.lower(), fk.source_column.lower()))
+        fk_columns.add((fk.target_table.lower(), fk.target_column.lower()))
+    for table in schema.tables:
+        for column in table.columns:
+            if (
+                column.col_type is ColumnType.TEXT
+                and not column.is_primary_key
+                and (table.name.lower(), column.name.lower()) not in fk_columns
+            ):
+                return table.name, column.name
+    raise RuntimeError(f"no mutable text column in {schema.db_id!r}")
+
+
+def edit_one_row_sql(schema: DatabaseSchema) -> str:
+    """A content edit of one row of ``schema``'s first mutable text column."""
+    table, column = mutable_text_column(schema)
+    return (
+        f"UPDATE {table} SET {column} = {column} || ' (edited)' "
+        f"WHERE rowid IN (SELECT rowid FROM {table} LIMIT 1)"
+    )
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     dataset = build_benchmark(small_benchmark_config())

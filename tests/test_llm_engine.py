@@ -483,9 +483,24 @@ class TestBatchCountersInSpans:
             evaluator.evaluate_example(method, example)
         (span,) = tracer.drain()
         decode = next(s for s in span.stages if s.stage == "decode")
-        assert decode.llm_batched_calls >= 1
+        assert decode.llm_batched_calls == 1
         assert decode.llm_batch_draws >= decode.llm_batched_calls
         assert decode.llm_calls == decode.llm_batch_draws
+
+    def test_one_batched_call_per_decode_for_every_decoder(self, small_dataset):
+        # Each example's draws go through exactly one batched call;
+        # repair and PICARD top-ups take the unbatched path, so the count
+        # is exact, not a lower bound.
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        with tracing(Tracer()):
+            evaluator.evaluate_zoo([build_method(m) for m in METHODS])
+        spans = evaluator.trace_spans
+        assert len(spans) == len(METHODS) * len(small_dataset.dev_examples)
+        for span in spans:
+            assert sum(s.llm_batched_calls for s in span.stages) == 1, (
+                span.method, span.example_id
+            )
+            assert sum(s.llm_batch_draws for s in span.stages) >= 1
 
     def test_no_batch_counters_when_disabled(self, small_dataset):
         method = build_method("BRIDGE v2", seed=0)

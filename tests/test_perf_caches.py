@@ -23,6 +23,7 @@ from repro.llm.model import GenerationCandidate
 from repro.methods.zoo import build_method
 from repro.modules.fewshot import MANUAL_QUALITY, select_examples
 from repro.modules.retrieval import FewShotIndex, clear_index_registry, index_for
+from repro.obs import Tracer, stage_breakdown, tracing
 from repro.sqlkit.picard import PicardChecker
 from repro.utils.cache import (
     LogicalClock,
@@ -224,6 +225,16 @@ class TestFewShotIndexEquivalence:
         pairs = [("q one", "SELECT 1"), ("q two", "SELECT 2")]
         assert index_for(pairs) is index_for(list(pairs))
         assert index_for(pairs) is not index_for(pairs[:1])
+
+    def test_traced_zoo_pass_counts_fewshot_memo_hits(self, small_dataset):
+        # Methods that share a corpus reuse each other's selections, and
+        # the fewshot stage's memo_hits counter shows the reuse.
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        with tracing(Tracer()):
+            evaluator.evaluate_zoo(
+                [build_method(m) for m in ("C3SQL", "DAILSQL", "SFT CodeS-7B")]
+            )
+        assert stage_breakdown(evaluator.trace_spans)["fewshot"]["memo_hits"] > 0
 
     def test_index_pickles_by_rebuilding(self):
         import pickle

@@ -17,7 +17,8 @@ import random
 import threading
 import time
 import weakref
-from types import SimpleNamespace
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.serve import (
     ResponseCache,
     ServeConfig,
     ServeRequest,
-    ServeStats,
     ServeStatus,
     ServingEngine,
     WorkloadSpec,
@@ -40,7 +40,7 @@ from repro.serve import (
 )
 from repro.utils.cache import LogicalClock
 
-from tests.conftest import small_benchmark_config
+from tests.conftest import edit_one_row_sql, small_benchmark_config
 
 METHOD = "C3SQL"
 
@@ -206,16 +206,24 @@ class TestDeadlines:
         assert engine.stats.timeouts == 1
 
     def test_default_deadline_applies_to_bare_requests(
-        self, small_dataset, served_method, workload
+        self, small_dataset, served_method, workload, offline_records
     ):
-        request = workload[0]
+        # A zero default deadline times out a whole paused batch with
+        # typed responses, and the same engine then serves normally.
         with make_engine(
             small_dataset, served_method, default_deadline_s=0.0
         ) as engine:
-            engine.pause()
-            response = engine.submit(request).response()
-            engine.resume()
-        assert response.status is ServeStatus.TIMEOUT
+            responses = engine.serve(list(workload), submit_paused=True)
+            assert all(r.status is ServeStatus.TIMEOUT for r in responses)
+            assert engine.stats.timeouts == len(workload)
+            # An explicit deadline overrides the engine's zero default.
+            recovered = [
+                engine.submit(replace(request, deadline_s=300.0)).response()
+                for request in list(workload)[:4]
+            ]
+        for response in recovered:
+            assert response.ok, response.error
+            assert response.record == offline_records[response.request.key]
 
     def test_explicit_wait_timeout_raises_but_request_survives(
         self, small_dataset, served_method, workload
@@ -463,9 +471,8 @@ class TestResponseCacheInvalidation:
             cold = engine.submit(request).response()
             assert engine.submit(request).response().cached
 
-            # A writer advertises its mutation via mark_mutated(); the
-            # content edit itself is exercised end-to-end by the bench's
-            # invalidation stage.
+            # A writer advertises its mutation via mark_mutated(); a real
+            # content edit is covered by the test below.
             database.mark_mutated()
             assert database.data_version == version_before + 1
             # The mutation listener eagerly purged this database's entries.
@@ -481,6 +488,54 @@ class TestResponseCacheInvalidation:
         offline = Evaluator(private_dataset, measure_timing=False)
         assert replay.record == offline.evaluate_example(method, example)
         assert cold.record == replay.record  # no-op edit: same content
+
+    def test_content_edit_purges_exactly_the_edited_database(
+        self, private_dataset
+    ):
+        # Every dev example may be drawn, so the keys span all databases.
+        workload = build_workload(private_dataset, WorkloadSpec(
+            requests=60, methods=(METHOD,), distinct_examples=40, seed=7
+        ))
+        method = build_method(METHOD, seed=42)
+        method.prepare(private_dataset)
+        index = question_index(private_dataset)
+        keys = {request.key for request in workload}
+
+        def reference(wanted):
+            offline = Evaluator(private_dataset, measure_timing=False)
+            return {
+                key: offline.evaluate_example(method, index[(key[1], key[2])])
+                for key in wanted
+            }
+
+        before = reference(keys)
+        target = Counter(request.db_id for request in workload).most_common(1)[0][0]
+        affected = [request for request in workload if request.db_id == target]
+        affected_keys = {request.key for request in affected}
+        assert 0 < len(affected_keys) < len(keys)
+        cache = ResponseCache()
+        config = ServeConfig(methods=(METHOD,), workers=4, measure_timing=False)
+        with ServingEngine(
+            private_dataset, config, methods={METHOD: method},
+            response_cache=cache,
+        ) as engine:
+            engine.serve(list(workload), submit_paused=True)  # fill the cache
+            assert len(cache) == len(keys)
+            hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
+            database = private_dataset.databases[target]
+            assert database.apply_write(edit_one_row_sql(database.schema)) == 1
+            # The commit's mutation listener purged exactly the edited
+            # database's entries.
+            assert cache.stats()["invalidations"] == len(affected_keys)
+            assert len(cache) == len(keys) - len(affected_keys)
+            replay = engine.serve(list(workload), submit_paused=True)
+            assert engine.stats.cache_hits - hits == len(workload) - len(affected)
+            assert engine.stats.cache_misses - misses == len(affected)
+        after = {**before, **reference(affected_keys)}
+        stale = [
+            r for r in replay if not r.ok or r.record != after[r.request.key]
+        ]
+        assert stale == []
 
     def test_stale_entry_structurally_unreachable_without_listener(
         self, private_dataset
@@ -689,60 +744,6 @@ class TestDbIdRestriction:
     ):
         with pytest.raises(ServeError):
             make_engine(small_dataset, served_method, db_ids=("no_such_db",))
-
-
-class TestBenchHelpers:
-    """Nearest-rank percentile and loop-summary edge cases."""
-
-    def test_percentiles_empty_is_all_zero(self):
-        from repro.serve.bench import _percentiles
-
-        assert _percentiles([]) == {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
-
-    def test_percentiles_single_sample_pins_every_rank(self):
-        from repro.serve.bench import _percentiles
-
-        assert _percentiles([0.25]) == {
-            "p50_ms": 250.0, "p95_ms": 250.0, "p99_ms": 250.0
-        }
-
-    def test_percentiles_nearest_rank_semantics(self):
-        from repro.serve.bench import _percentiles
-
-        latencies = [i / 1000.0 for i in range(1, 101)]  # 1ms..100ms
-        result = _percentiles(latencies)
-        # index = min(n-1, int(q*n)) over the sorted list.
-        assert result == {"p50_ms": 51.0, "p95_ms": 96.0, "p99_ms": 100.0}
-
-    def test_percentiles_unsorted_input(self):
-        from repro.serve.bench import _percentiles
-
-        assert _percentiles([0.3, 0.1, 0.2])["p50_ms"] == 200.0
-
-    def test_loop_summary_empty_responses(self):
-        from repro.serve.bench import _loop_summary
-
-        engine = SimpleNamespace(stats=ServeStats())
-        summary = _loop_summary([], 0.0, engine)
-        assert summary["throughput_rps"] == 0.0
-        assert summary["ok"] == 0
-        assert summary["p99_ms"] == 0.0
-
-    def test_loop_summary_counts_and_rates(self):
-        from repro.serve.bench import _loop_summary
-
-        stats = ServeStats(coalesce_hits=3, batches=2, max_batch=4)
-        engine = SimpleNamespace(stats=stats)
-        responses = [
-            SimpleNamespace(ok=True, total_s=0.010),
-            SimpleNamespace(ok=False, total_s=0.030),
-        ]
-        summary = _loop_summary(responses, 0.5, engine)
-        assert summary["throughput_rps"] == 4.0
-        assert summary["ok"] == 1
-        assert summary["coalesce_hits"] == 3
-        assert summary["batches"] == 2 and summary["max_batch"] == 4
-        assert summary["p50_ms"] == 30.0  # nearest-rank: index min(1, 1)
 
 
 class _noop:

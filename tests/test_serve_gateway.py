@@ -46,7 +46,7 @@ from repro.methods.zoo import build_method
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
 from repro.utils.cache import caches_disabled
 
-from tests.conftest import small_benchmark_config
+from tests.conftest import edit_one_row_sql, small_benchmark_config
 
 METHOD = "C3SQL"
 
@@ -62,8 +62,10 @@ def gateway_serve_config(**overrides) -> ServeConfig:
 
 @pytest.fixture(scope="module")
 def workload(small_dataset):
+    # Draw from every dev example so the requests span all four dev
+    # databases and, at 2 and 4 shards, more than one shard.
     spec = WorkloadSpec(
-        requests=40, methods=(METHOD,), distinct_examples=8, zipf_s=1.1, seed=7
+        requests=40, methods=(METHOD,), distinct_examples=40, zipf_s=1.1, seed=7
     )
     return build_workload(small_dataset, spec)
 
@@ -249,12 +251,6 @@ class TestGatewayServing:
             assert response.ok, response.error
             assert response.record == offline_records[request.key]
 
-    def test_digest_mode_matches_full_mode(self, gateway, workload, offline_records):
-        digests = gateway.serve_many(list(workload), mode="digest")
-        for request, digest in zip(workload, digests):
-            assert digest[0] == "ok"
-            assert digest[4] == record_digest(offline_records[request.key])
-
     def test_small_chunks_preserve_request_order(
         self, gateway, workload, offline_records
     ):
@@ -275,9 +271,7 @@ class TestGatewayServing:
             expected[owner] = expected.get(owner, 0) + 1
         assert {s: n for s, n in routed.items() if n} == expected
 
-    def test_unknown_mode_and_bad_chunk_size_rejected(self, gateway, workload):
-        with pytest.raises(GatewayError):
-            gateway.serve_many(list(workload), mode="records")
+    def test_bad_chunk_size_rejected(self, gateway, workload):
         with pytest.raises(GatewayError):
             gateway.serve_many(list(workload), chunk_size=0)
 
@@ -298,12 +292,13 @@ class TestCrossTopologyEquivalence:
     ):
         method = build_method(METHOD, seed=42)
         method.prepare(small_dataset)
-        config = gateway_serve_config()
+        # A request log smaller than the trace, so span drops are exact too.
+        config = gateway_serve_config(request_log_size=16)
         from repro.serve import ServingEngine
 
-        # Fill pass over the distinct keys, then the full trace: this is
-        # the bench's structure, and it makes every cache counter exact
-        # (one miss+store per distinct key, then one hit per request).
+        # Fill pass over the distinct keys, then the full trace: this
+        # makes every cache counter exact (one miss+store per distinct
+        # key, then one hit per request).
         seen: set = set()
         fill = [r for r in workload if not (r.key in seen or seen.add(r.key))]
         with ServingEngine(
@@ -332,6 +327,7 @@ class TestCrossTopologyEquivalence:
         for request in fill:
             owner = gateway.owner(request.db_id)
             distinct_by_shard[owner] = distinct_by_shard.get(owner, 0) + 1
+        assert shards == 1 or len(total_by_shard) > 1
         for entry in shard_stats:
             shard = entry["shard"]
             assert entry["cache"]["misses"] == distinct_by_shard.get(shard, 0)
@@ -339,6 +335,11 @@ class TestCrossTopologyEquivalence:
             assert entry["cache"]["hits"] == total_by_shard.get(shard, 0)
             assert entry["cache"]["invalidations"] == 0
             assert entry["engine"]["errors"] == 0
+            submitted = distinct_by_shard.get(shard, 0) + total_by_shard.get(shard, 0)
+            assert entry["engine"]["submitted"] == submitted
+            assert entry["engine"]["spans_dropped"] == max(
+                0, submitted - config.request_log_size
+            )
 
 
 class TestSwitchPropagation:
@@ -369,12 +370,8 @@ class TestMutationPropagation:
     """apply_write / mark_mutated reach the owning shard's cache."""
 
     def test_apply_write_invalidates_owner_shard_cache(self, small_dataset, workload):
-        from repro.serve.bench import _mutable_text_column
-
         request = workload[0]
-        table, column = _mutable_text_column(
-            small_dataset.databases[request.db_id].schema
-        )
+        edit = edit_one_row_sql(small_dataset.databases[request.db_id].schema)
         with ShardedGateway(
             small_benchmark_config(), gateway_serve_config(), shards=2
         ) as gateway:
@@ -382,11 +379,7 @@ class TestMutationPropagation:
             warm = gateway.ask(request.method, request.db_id, request.question)
             assert first.ok and not first.cached
             assert warm.ok and warm.cached
-            result = gateway.apply_write(
-                request.db_id,
-                f"UPDATE {table} SET {column} = {column} || ' (edited)' "
-                f"WHERE rowid IN (SELECT rowid FROM {table} LIMIT 1)",
-            )
+            result = gateway.apply_write(request.db_id, edit)
             assert result["affected"] == 1
             replay = gateway.ask(request.method, request.db_id, request.question)
             assert not replay.cached  # version-keyed entry went stale

@@ -92,8 +92,9 @@ def main() -> None:
             with tracer.example(lm_method.name, ex.example_id):
                 lm_method.predict(ex, db)
         spans = tracer.drain()
-    attempts = sum(s.repair_attempts for sp in spans for s in sp.stages)
-    recovered = sum(s.repair_recovered for sp in spans for s in sp.stages)
+    stages = [s for sp in spans for s in sp.stages]
+    attempts = sum(s.counters.get("repair_attempts", 0) for s in stages)
+    recovered = sum(s.counters.get("repair_recovered", 0) for s in stages)
     entered = sum(
         1 for sp in spans for s in sp.stages if s.stage == "repair"
     )

@@ -36,6 +36,8 @@ evaluator per worker.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from repro.core.logs import ExperimentLogStore
 from repro.core.metrics import EvaluationRecord, MethodReport
 from repro.core.taxonomy import classify_failure
@@ -49,9 +51,9 @@ from repro.dbengine.executor import (
 from repro.dbengine.timing import timed_execute
 from repro.methods.base import NL2SQLMethod
 from repro.obs.registry import (
+    POOL_METRICS,
     MetricsRegistry,
-    ingest_lru_deltas,
-    ingest_pool_deltas,
+    ingest_deltas,
     ingest_record,
     ingest_span,
 )
@@ -63,6 +65,9 @@ from repro.sqlkit.features import SQLFeatures, extract_features
 # (db_id, data_version, gold_sql) -> (result, seconds); shared between the
 # sequential evaluator and the parallel engine's one-pass gold precompute.
 GoldCache = dict[str, tuple[ExecutionResult, float]]
+
+# lru_cache_stats() entry key -> metric name.
+_LRU_METRICS = {"hits": "lru_cache_hits", "misses": "lru_cache_misses"}
 
 
 def gold_key(example: Example, data_version: int = 0) -> str:
@@ -211,35 +216,46 @@ class Evaluator:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def _collect_observability(
+    def collect_observability(
         self,
         method_name: str,
         records: list[EvaluationRecord],
         fresh_gold: int,
-        lru_before: dict[str, dict[str, int]] | None = None,
-        pool_before: dict[str, int] | None = None,
+        lru_before: dict[str, dict[str, int]],
+        pool_before: dict[str, int],
+        cached: Container[str] = (),
     ) -> tuple[list[ExampleSpan], MetricsRegistry | None]:
-        """Drain this method's spans and build its per-run metrics."""
+        """Drain ``method_name``'s spans and build its per-run metrics.
+
+        The registry counts the fresh gold executions, the LRU and
+        read-path deltas since the ``*_before`` snapshots (this process
+        only: worker-process memos stay worker-local) and every record
+        and span; ``cached`` holds the ids of the examples the result
+        cache served.  It is merged into the ambient tracer's registry
+        too.  Returns ``([], None)`` while tracing is off.
+        """
         trace = get_tracer()
         if not trace.enabled:
             return [], None
         spans = trace.drain(method=method_name)
-        self.trace_spans.extend(spans)
+        benchmark = self.dataset.name
+        labels = {"method": method_name, "benchmark": benchmark}
         registry = MetricsRegistry()
-        registry.count(
-            "gold_executions",
-            value=fresh_gold,
-            method=method_name,
-            benchmark=self.dataset.name,
-        )
-        ingest_lru_deltas(registry, self.dataset.name, method_name, lru_before)
-        ingest_pool_deltas(
-            registry, self.dataset.name, method_name, pool_before, self.pool_totals()
+        registry.count("gold_executions", value=fresh_gold, **labels)
+        for cache_name, stats in lru_cache_stats().items():
+            ingest_deltas(
+                registry, lru_before.get(cache_name, {}), stats, _LRU_METRICS,
+                cache=cache_name, **labels,
+            )
+        ingest_deltas(
+            registry, pool_before, self.pool_totals(), POOL_METRICS, **labels
         )
         for record in records:
-            ingest_record(registry, self.dataset.name, record)
+            ingest_record(
+                registry, benchmark, record, cache_hit=record.example_id in cached
+            )
         for span in spans:
-            ingest_span(registry, self.dataset.name, span)
+            ingest_span(registry, benchmark, span)
         trace.metrics.merge(registry)
         return spans, registry
 
@@ -267,9 +283,10 @@ class Evaluator:
         report = MethodReport(method=method.name)
         for example in examples:
             report.records.append(self.evaluate_example(method, example))
-        spans, registry = self._collect_observability(
+        spans, registry = self.collect_observability(
             method.name, report.records, fresh_gold, lru_before, pool_before
         )
+        self.trace_spans.extend(spans)
         if self.log_store is not None:
             run_id = self.log_store.store_records(self.dataset.name, report.records)
             if registry is not None:

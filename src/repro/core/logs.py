@@ -31,7 +31,7 @@ import sqlite3
 from pathlib import Path
 
 from repro.core.metrics import EvaluationRecord, MethodReport
-from repro.obs.registry import HistogramSummary, MetricsRegistry
+from repro.obs.registry import SPAN_COUNTERS, HistogramSummary, MetricsRegistry
 from repro.obs.trace import ExampleSpan, StageSpan
 from repro.sqlkit.hardness import BirdDifficulty, Hardness
 
@@ -98,19 +98,11 @@ CREATE TABLE IF NOT EXISTS trace_spans (
     stage TEXT NOT NULL DEFAULT '',
     seconds REAL NOT NULL,
     cache_hit INTEGER NOT NULL,
-    memo_hits INTEGER NOT NULL DEFAULT 0,
     llm_calls INTEGER NOT NULL,
     input_tokens INTEGER NOT NULL,
     output_tokens INTEGER NOT NULL,
     cost_usd REAL NOT NULL,
     failure TEXT,
-    repair_attempts INTEGER NOT NULL DEFAULT 0,
-    repair_recovered INTEGER NOT NULL DEFAULT 0,
-    repair_pattern_hits INTEGER NOT NULL DEFAULT 0,
-    prefix_hits INTEGER NOT NULL DEFAULT 0,
-    prefix_misses INTEGER NOT NULL DEFAULT 0,
-    llm_batched_calls INTEGER NOT NULL DEFAULT 0,
-    llm_batch_draws INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (run_id, position)
 );
 CREATE TABLE IF NOT EXISTS run_metrics (
@@ -125,6 +117,19 @@ CREATE TABLE IF NOT EXISTS run_metrics (
     PRIMARY KEY (run_id, kind, name, labels)
 );
 """
+
+# Integer columns added after a table was first created, one per
+# declared span counter for ``trace_spans``.
+_COUNTER_COLUMNS = tuple(spec.name for spec in SPAN_COUNTERS)
+_ADDED_COLUMNS = {
+    "records": ("gold_truncated", "predicted_truncated"),
+    "result_cache": ("gold_truncated", "predicted_truncated"),
+    "trace_spans": _COUNTER_COLUMNS,
+}
+_TRACE_COLUMNS = (
+    "method", "example_id", "stage", "seconds", "cache_hit", "llm_calls",
+    "input_tokens", "output_tokens", "cost_usd", "failure", *_COUNTER_COLUMNS,
+)
 
 
 def _record_row(record: EvaluationRecord) -> tuple:
@@ -170,37 +175,22 @@ class ExperimentLogStore:
         self.connection.commit()
 
     def _migrate(self) -> None:
-        """Add columns introduced after a store file was first created."""
-        for table in ("records", "result_cache"):
+        """Add the columns a store file lacks.
+
+        The span-counter columns of ``trace_spans`` are only ever added
+        here, so new and old files take the same path.
+        """
+        for table, columns in _ADDED_COLUMNS.items():
             existing = {
                 row[1]
                 for row in self.connection.execute(f"PRAGMA table_info({table})")
             }
-            for column in ("gold_truncated", "predicted_truncated"):
+            for column in columns:
                 if column not in existing:
                     self.connection.execute(
                         f"ALTER TABLE {table} ADD COLUMN {column}"
                         " INTEGER NOT NULL DEFAULT 0"
                     )
-        trace_columns = {
-            row[1]
-            for row in self.connection.execute("PRAGMA table_info(trace_spans)")
-        }
-        if "memo_hits" not in trace_columns:
-            self.connection.execute(
-                "ALTER TABLE trace_spans ADD COLUMN memo_hits"
-                " INTEGER NOT NULL DEFAULT 0"
-            )
-        for column in (
-            "repair_attempts", "repair_recovered", "repair_pattern_hits",
-            "prefix_hits", "prefix_misses",
-            "llm_batched_calls", "llm_batch_draws",
-        ):
-            if column not in trace_columns:
-                self.connection.execute(
-                    f"ALTER TABLE trace_spans ADD COLUMN {column}"
-                    " INTEGER NOT NULL DEFAULT 0"
-                )
 
     def close(self) -> None:
         self.connection.close()
@@ -312,38 +302,26 @@ class ExperimentLogStore:
         one row per stage span; ``position`` preserves the stream order.
         """
         rows = []
-        position = 0
+        no_counters = (0,) * len(_COUNTER_COLUMNS)
         for span in spans:
             rows.append((
-                run_id, position, span.method, span.example_id, "",
-                span.seconds, int(span.cache_hit), 0, 0,
-                span.input_tokens, span.output_tokens, span.cost_usd,
-                span.failure, 0, 0, 0, 0, 0, 0, 0,
+                span.method, span.example_id, "", span.seconds,
+                int(span.cache_hit), 0, span.input_tokens, span.output_tokens,
+                span.cost_usd, span.failure, *no_counters,
             ))
-            position += 1
             for stage in span.stages:
                 rows.append((
-                    run_id, position, span.method, span.example_id,
-                    stage.stage, stage.seconds, int(stage.cache_hit),
-                    stage.memo_hits, stage.llm_calls, 0,
+                    span.method, span.example_id, stage.stage, stage.seconds,
+                    int(stage.cache_hit), stage.llm_calls, 0,
                     stage.output_tokens, 0.0, None,
-                    stage.repair_attempts, stage.repair_recovered,
-                    stage.repair_pattern_hits,
-                    stage.prefix_hits, stage.prefix_misses,
-                    stage.llm_batched_calls, stage.llm_batch_draws,
+                    *(stage.counters.get(name, 0) for name in _COUNTER_COLUMNS),
                 ))
-                position += 1
         if rows:
+            columns = ("run_id", "position", *_TRACE_COLUMNS)
             self.connection.executemany(
-                "INSERT OR REPLACE INTO trace_spans (run_id, position,"
-                " method, example_id, stage, seconds, cache_hit, memo_hits,"
-                " llm_calls, input_tokens, output_tokens, cost_usd, failure,"
-                " repair_attempts, repair_recovered, repair_pattern_hits,"
-                " prefix_hits, prefix_misses, llm_batched_calls,"
-                " llm_batch_draws)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-                " ?, ?, ?, ?)",
-                rows,
+                f"INSERT OR REPLACE INTO trace_spans ({', '.join(columns)})"
+                f" VALUES ({', '.join('?' * len(columns))})",
+                [(run_id, position, *row) for position, row in enumerate(rows)],
             )
             self.connection.commit()
         return len(rows)
@@ -351,10 +329,7 @@ class ExperimentLogStore:
     def load_trace(self, run_id: int) -> list[ExampleSpan]:
         """Rebuild a run's :class:`ExampleSpan` stream (inverse of store)."""
         cursor = self.connection.execute(
-            "SELECT method, example_id, stage, seconds, cache_hit, llm_calls,"
-            " input_tokens, output_tokens, cost_usd, failure, memo_hits,"
-            " repair_attempts, repair_recovered, repair_pattern_hits,"
-            " prefix_hits, prefix_misses, llm_batched_calls, llm_batch_draws"
+            f"SELECT {', '.join(_TRACE_COLUMNS)}"
             " FROM trace_spans WHERE run_id = ? ORDER BY position",
             (run_id,),
         )
@@ -371,12 +346,11 @@ class ExperimentLogStore:
                 spans[-1].stages.append(StageSpan(
                     stage=row[2], seconds=row[3], cache_hit=bool(row[4]),
                     llm_calls=int(row[5]), output_tokens=int(row[7]),
-                    memo_hits=int(row[10]), repair_attempts=int(row[11]),
-                    repair_recovered=int(row[12]),
-                    repair_pattern_hits=int(row[13]),
-                    prefix_hits=int(row[14]), prefix_misses=int(row[15]),
-                    llm_batched_calls=int(row[16]),
-                    llm_batch_draws=int(row[17]),
+                    counters={
+                        name: int(value)
+                        for name, value in zip(_COUNTER_COLUMNS, row[10:])
+                        if value
+                    },
                 ))
         return spans
 

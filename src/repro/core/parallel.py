@@ -67,13 +67,7 @@ from repro.core.taxonomy import classify_failure
 from repro.datagen.benchmark import BenchmarkConfig, Dataset, Example, build_benchmark
 from repro.methods.base import MethodGroup, NL2SQLMethod, PipelineMethod
 from repro.modules.base import PipelineConfig
-from repro.obs.registry import (
-    MetricsRegistry,
-    ingest_lru_deltas,
-    ingest_pool_deltas,
-    ingest_record,
-    ingest_span,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
 from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
@@ -426,6 +420,7 @@ class ParallelEvaluator:
         spans, registry = self._collect_observability(
             method.name, report.records, cached, fresh_gold, lru_before, pool_before
         )
+        self.trace_spans.extend(spans)
         if fingerprint is not None and fresh:
             self.log_store.store_cached_records(fingerprint, list(fresh.values()))
         if self.log_store is not None and report.records:
@@ -441,63 +436,37 @@ class ParallelEvaluator:
         records: list[EvaluationRecord],
         cached: dict[str, EvaluationRecord],
         fresh_gold: int,
-        lru_before: dict[str, dict[str, int]] | None = None,
-        pool_before: dict[str, int] | None = None,
+        lru_before: dict[str, dict[str, int]],
+        pool_before: dict[str, int],
     ) -> tuple[list[ExampleSpan], MetricsRegistry | None]:
-        """Drain this method's spans (synthesizing cache-hit spans) and
-        build its per-run metrics — mirror of the sequential evaluator's."""
+        """Synthesize the cache-hit spans, then drain and count the run
+        as the sequential evaluator does."""
         trace = get_tracer()
-        if not trace.enabled:
-            return [], None
-        # Examples served by the cross-run cache never ran the pipeline,
-        # so they get synthetic stage-less spans; the failure tag is
-        # re-derived from the record's deterministic fields (corruption
-        # tags are not persisted, so attribution is coarser here).
-        synthetic = [
-            ExampleSpan(
-                method=record.method,
-                example_id=record.example_id,
-                cache_hit=True,
-                input_tokens=record.input_tokens,
-                output_tokens=record.output_tokens,
-                cost_usd=record.cost_usd,
-                failure=classify_failure(
-                    ex=record.ex,
-                    truncated=record.gold_truncated or record.predicted_truncated,
-                ),
-            )
-            for record in records
-            if record.example_id in cached
-        ]
-        trace.add_spans(synthetic)
-        spans = trace.drain(method=method_name)
-        self.trace_spans.extend(spans)
-        registry = MetricsRegistry()
-        registry.count(
-            "gold_executions",
-            value=fresh_gold,
-            method=method_name,
-            benchmark=self.dataset.name,
+        if trace.enabled:
+            # Examples served by the cross-run cache never ran the
+            # pipeline, so they get synthetic stage-less spans; the
+            # failure tag is re-derived from the record's deterministic
+            # fields (corruption tags are not persisted, so attribution
+            # is coarser here).
+            trace.add_spans([
+                ExampleSpan(
+                    method=record.method,
+                    example_id=record.example_id,
+                    cache_hit=True,
+                    input_tokens=record.input_tokens,
+                    output_tokens=record.output_tokens,
+                    cost_usd=record.cost_usd,
+                    failure=classify_failure(
+                        ex=record.ex,
+                        truncated=record.gold_truncated or record.predicted_truncated,
+                    ),
+                )
+                for record in records
+                if record.example_id in cached
+            ])
+        return self._local.collect_observability(
+            method_name, records, fresh_gold, lru_before, pool_before, cached
         )
-        ingest_lru_deltas(registry, self.dataset.name, method_name, lru_before)
-        ingest_pool_deltas(
-            registry,
-            self.dataset.name,
-            method_name,
-            pool_before,
-            self._local.pool_totals(),
-        )
-        for record in records:
-            ingest_record(
-                registry,
-                self.dataset.name,
-                record,
-                cache_hit=record.example_id in cached,
-            )
-        for span in spans:
-            ingest_span(registry, self.dataset.name, span)
-        trace.metrics.merge(registry)
-        return spans, registry
 
     def evaluate_zoo(
         self,

@@ -20,7 +20,7 @@ work hoisted once.  ``many`` falls back to sequential per-draw calls
 when batching is globally disabled
 (:func:`repro.llm.engine.batching_disabled`), and reports through the
 ambient decode window when one is installed (the serving scheduler's
-continuous-batching hook).
+counting hook: the window makes the same ``generate_batch`` call).
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class BoundSampler:
 
         With batching disabled this is exactly the sequential per-draw
         loop; with it enabled the batch runs through ``generate_many``
-        (and through the ambient decode window, when the serving
-        scheduler has installed one) — both paths produce bit-identical
-        candidates.
+        — both paths produce bit-identical candidates.  An ambient
+        decode window (installed by the serving scheduler) counts the
+        batch and then makes the same ``generate_batch`` call.
         """
         if not batching_enabled():
             return [self(draw, temperature) for draw, temperature in draws]

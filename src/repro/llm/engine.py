@@ -159,8 +159,10 @@ def batching_disabled() -> Iterator[None]:
 
 # The serving scheduler installs a window object around each micro-batch
 # so member requests' batched decode calls flow through one shared
-# accounting context (continuous batching across requests).  Windows are
-# thread-local: each serve worker thread runs one micro-batch at a time.
+# accounting context.  The window counts them; each decode is still its
+# own generate_many call, so no draws are combined across requests.
+# Windows are thread-local: each serve worker thread runs one
+# micro-batch at a time.
 _WINDOW_TLS = threading.local()
 
 

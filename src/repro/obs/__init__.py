@@ -18,10 +18,11 @@ is stateless and safe anywhere.
 
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
 from repro.obs.registry import (
+    SPAN_COUNTERS,
+    CounterSpec,
     HistogramSummary,
     MetricsRegistry,
-    ingest_lru_deltas,
-    ingest_pool_deltas,
+    ingest_deltas,
     ingest_record,
     ingest_span,
 )
@@ -49,6 +50,8 @@ from repro.obs.trace import (
 
 __all__ = [
     "STAGES",
+    "SPAN_COUNTERS",
+    "CounterSpec",
     "ExampleSpan",
     "StageSpan",
     "MethodTrace",
@@ -64,8 +67,7 @@ __all__ = [
     "HistogramSummary",
     "ingest_record",
     "ingest_span",
-    "ingest_lru_deltas",
-    "ingest_pool_deltas",
+    "ingest_deltas",
     "merge_metric_exports",
     "render_prometheus",
     "RunReport",

@@ -4,9 +4,12 @@ A :class:`MetricsRegistry` aggregates named counters and histograms with
 free-form string labels (method, benchmark, hardness, stage, failure
 category, ...).  The evaluation engines ingest one
 :class:`~repro.core.metrics.EvaluationRecord` / span pair per example
-via :func:`ingest_record` and :func:`ingest_span`; run reports and the
-experiment log store consume the deterministic
-:meth:`MetricsRegistry.as_dict` export.
+via :func:`ingest_record` and :func:`ingest_span`, and fold the deltas
+of cumulative counter snapshots (LRU memos, replica pools, response
+caches) with :func:`ingest_deltas`; run reports and the experiment log
+store consume the deterministic :meth:`MetricsRegistry.as_dict` export.
+:data:`SPAN_COUNTERS` declares each stage-span counter once, with its
+deterministic-vs-schedule-sensitive class and its metric name.
 
 Inputs/outputs: ``count``/``observe`` take a metric name plus keyword
 labels; ``counters()``/``histograms()``/``as_dict()`` return views
@@ -174,6 +177,46 @@ def ingest_record(
     registry.observe("latency_s", record.latency_s, **labels)
 
 
+
+
+# -- stage-span counters -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CounterSpec:
+    """One declared stage-span counter.
+
+    ``deterministic`` counters are outcomes of the example itself and
+    join :meth:`~repro.obs.trace.ExampleSpan.structure`; the others are
+    schedule-sensitive (which evaluation warms a shared memo first, how
+    draws group into batches) and are left out of every equivalence
+    check.  ``metric`` is the registry counter :func:`ingest_span` emits
+    and the key of the run report's ``cache`` or ``repair`` section
+    (``repair`` holds the ``repair_*`` counters).
+    """
+
+    name: str
+    deterministic: bool
+    metric: str
+
+
+#: Every counter a :class:`~repro.obs.trace.StageSpan` may carry, in
+#: ``structure()`` order.  Spans, ``stage_breakdown``, metrics, run
+#: reports and the log store's ``trace_spans`` columns derive from it.
+SPAN_COUNTERS = (
+    CounterSpec("memo_hits", False, "stage_memo_hits"),
+    CounterSpec("repair_attempts", True, "repair_attempts"),
+    CounterSpec("repair_recovered", True, "repair_recovered"),
+    CounterSpec("repair_pattern_hits", False, "repair_pattern_hits"),
+    CounterSpec("prefix_hits", False, "prefix_hits"),
+    CounterSpec("prefix_misses", False, "prefix_misses"),
+    CounterSpec("llm_batched_calls", False, "llm_batched_calls"),
+    CounterSpec("llm_batch_draws", False, "llm_batch_draws"),
+)
+
+_COUNTER_METRICS = {spec.name: spec.metric for spec in SPAN_COUNTERS}
+
+
 def ingest_span(registry: MetricsRegistry, benchmark: str, span) -> None:
     """Fold one :class:`ExampleSpan` into stage/failure metrics."""
     if span.failure is not None:
@@ -188,40 +231,15 @@ def ingest_span(registry: MetricsRegistry, benchmark: str, span) -> None:
         registry.observe("stage_seconds", stage.seconds, **labels)
         if stage.cache_hit:
             registry.count("stage_cache_hits", **labels)
-        memo_hits = getattr(stage, "memo_hits", 0)
-        if memo_hits:
-            registry.count("stage_memo_hits", value=memo_hits, **labels)
         if stage.llm_calls:
             registry.count("llm_calls", value=stage.llm_calls, **labels)
-        repair_attempts = getattr(stage, "repair_attempts", 0)
-        if repair_attempts:
-            registry.count("repair_attempts", value=repair_attempts, **labels)
-        repair_recovered = getattr(stage, "repair_recovered", 0)
-        if repair_recovered:
-            registry.count("repair_recovered", value=repair_recovered, **labels)
-        repair_pattern_hits = getattr(stage, "repair_pattern_hits", 0)
-        if repair_pattern_hits:
-            registry.count(
-                "repair_pattern_hits", value=repair_pattern_hits, **labels
-            )
-        prefix_hits = getattr(stage, "prefix_hits", 0)
-        if prefix_hits:
-            registry.count("prefix_hits", value=prefix_hits, **labels)
-        prefix_misses = getattr(stage, "prefix_misses", 0)
-        if prefix_misses:
-            registry.count("prefix_misses", value=prefix_misses, **labels)
-        llm_batched_calls = getattr(stage, "llm_batched_calls", 0)
-        if llm_batched_calls:
-            registry.count(
-                "llm_batched_calls", value=llm_batched_calls, **labels
-            )
-        llm_batch_draws = getattr(stage, "llm_batch_draws", 0)
-        if llm_batch_draws:
-            registry.count("llm_batch_draws", value=llm_batch_draws, **labels)
+        for name, value in stage.counters.items():
+            if value:
+                registry.count(_COUNTER_METRICS[name], value=value, **labels)
 
 
-#: read-path counter -> metric name (PoolStats vocabulary -> ``pool_*``).
-_POOL_METRIC_NAMES = {
+#: ``Database.pool_stats()`` key -> metric name, for :func:`ingest_deltas`.
+POOL_METRICS = {
     "created": "pool_replicas",
     "checkouts": "pool_checkouts",
     "refreshes": "pool_refreshes",
@@ -229,54 +247,24 @@ _POOL_METRIC_NAMES = {
 }
 
 
-def ingest_pool_deltas(
+def ingest_deltas(
     registry: MetricsRegistry,
-    benchmark: str,
-    method: str,
     before: dict[str, int] | None,
     after: dict[str, int],
+    names: dict[str, str],
+    **labels: object,
 ) -> None:
-    """Fold one run's read-path (replica pool) counter deltas.
+    """Fold ``after - before`` of cumulative counters into ``registry``.
 
-    ``before``/``after`` are summed ``Database.pool_stats()`` snapshots
-    bracketing the run.  Emits ``pool_replicas`` / ``pool_checkouts`` /
-    ``pool_refreshes`` / ``pool_waits`` so replica-pool contention is
-    visible per run.  Zero deltas are skipped; a ``None`` snapshot skips
-    ingestion.
+    ``before``/``after`` are snapshots of process- or engine-cumulative
+    counters bracketing a run, so the metrics carry only this run's
+    share.  ``names`` maps each snapshot key to the metric it feeds;
+    every metric gets ``labels``.  Deltas that are not positive are
+    skipped; a ``None`` snapshot skips the fold.
     """
     if before is None:
         return
-    for key, metric in _POOL_METRIC_NAMES.items():
+    for key, metric in names.items():
         delta = after.get(key, 0) - before.get(key, 0)
         if delta > 0:
-            registry.count(metric, value=delta, method=method, benchmark=benchmark)
-
-
-def ingest_lru_deltas(
-    registry: MetricsRegistry,
-    benchmark: str,
-    method: str,
-    before: dict[str, dict[str, int]] | None,
-) -> None:
-    """Fold one run's LRU cache hit/miss deltas into counters.
-
-    ``before`` is a :func:`~repro.utils.cache.lru_cache_stats` snapshot
-    taken when the run started; the difference against the current
-    totals is this run's share of the process-cumulative counters.
-    Emits ``lru_cache_hits`` / ``lru_cache_misses`` per cache name (only
-    the coordinator process's caches — worker-process memos do not
-    cross the boundary).  A ``None`` snapshot skips ingestion.
-    """
-    if before is None:
-        return
-    from repro.utils.cache import lru_cache_stats
-
-    for name, stats in sorted(lru_cache_stats().items()):
-        prior = before.get(name, {})
-        labels = {"cache": name, "method": method, "benchmark": benchmark}
-        hits = stats["hits"] - prior.get("hits", 0)
-        misses = stats["misses"] - prior.get("misses", 0)
-        if hits > 0:
-            registry.count("lru_cache_hits", value=hits, **labels)
-        if misses > 0:
-            registry.count("lru_cache_misses", value=misses, **labels)
+            registry.count(metric, value=delta, **labels)

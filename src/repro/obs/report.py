@@ -27,32 +27,34 @@ from dataclasses import dataclass, field
 
 from repro.core.taxonomy import failure_category
 from repro.llm.pricing import cost_per_correct
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import POOL_METRICS, SPAN_COUNTERS, MetricsRegistry
 from repro.obs.trace import ExampleSpan, stage_breakdown
 
 # Example ids listed per failure category before truncation.
 _MAX_FAILURE_EXAMPLES = 5
 
-# Cache-section keys whose values depend on the evaluation schedule
-# (thread sharding changes which lookup warms a memo first, request
-# interleaving changes which submission warms the response cache),
-# excluded from the sequential/parallel equivalence comparison.
-_SCHEDULE_SENSITIVE_CACHE_KEYS = frozenset(
+# Report keys whose values depend on the evaluation schedule (thread
+# sharding changes which lookup warms a memo first, request
+# interleaving changes which submission warms the response cache, how
+# many replicas get created depends on thread interleaving), excluded
+# from the sequential/parallel equivalence comparison.  The span
+# counters among them are the ones SPAN_COUNTERS marks so.
+_SCHEDULE_SENSITIVE_KEYS = frozenset(
     {
-        "stage_memo_hits", "lru_cache_hits", "lru_cache_misses",
-        "lru_cache_hit_pct", "serve_cache_hits", "serve_cache_misses",
-        "serve_cache_evictions", "serve_spans_dropped",
-        # Read-path counters: how many replicas get created and
-        # which checkout pays a refresh depends on thread interleaving.
-        "pool_replicas", "pool_checkouts", "pool_refreshes", "pool_waits",
-        # Prompt-prefix-cache and batched-decode counters: which build
-        # warms a shared segment first and how draws group into batches
-        # depend on sharding and the batching switch, while the rendered
-        # prompts and candidates stay bit-identical.
-        "prefix_hits", "prefix_misses", "prefix_hit_pct",
-        "llm_batched_calls", "llm_batch_draws",
+        "lru_cache_hits", "lru_cache_misses", "lru_cache_hit_pct",
+        "serve_cache_hits", "serve_cache_misses", "serve_cache_evictions",
+        "serve_spans_dropped", "prefix_hit_pct", *POOL_METRICS.values(),
+        *(spec.metric for spec in SPAN_COUNTERS if not spec.deterministic),
     }
 )
+
+
+def _deterministic(section: dict[str, float]) -> dict[str, float]:
+    return {
+        key: value
+        for key, value in section.items()
+        if key not in _SCHEDULE_SENSITIVE_KEYS
+    }
 
 
 @dataclass
@@ -73,25 +75,15 @@ class RunReport:
     def equivalence_key(self) -> dict:
         """The timing-free sections: identical across sequential/parallel.
 
-        Memo-hit and LRU counters are reported in ``cache`` but excluded
-        here — which lookup warms a shared memo first is schedule-
-        dependent even though every *result* is bit-identical.  Likewise
-        ``repair_pattern_hits``: parallel workers rebuild methods with
-        cold pattern stores, so hit counts differ while repair outcomes
-        (attempts, recoveries) stay bit-identical.
+        Schedule-sensitive fields (the memo, LRU, pool, prefix, batching
+        and pattern-store counters) are reported but excluded here —
+        which lookup warms a shared memo first is schedule-dependent even
+        though every *result* is bit-identical.
         """
         return {
             "failures": self.failures,
-            "cache": {
-                key: value
-                for key, value in self.cache.items()
-                if key not in _SCHEDULE_SENSITIVE_CACHE_KEYS
-            },
-            "repair": {
-                key: value
-                for key, value in self.repair.items()
-                if key != "repair_pattern_hits"
-            },
+            "cache": _deterministic(self.cache),
+            "repair": _deterministic(self.repair),
             "economy": self.economy,
         }
 
@@ -139,16 +131,9 @@ def build_run_report(
             "share_pct": round(row["share_pct"], 2),
             "avg_ms": round(row["avg_ms"], 4),
             "cache_hits": int(row["cache_hits"]),
-            "memo_hits": int(row.get("memo_hits", 0)),
             "llm_calls": int(row["llm_calls"]),
             "output_tokens": int(row["output_tokens"]),
-            "repair_attempts": int(row.get("repair_attempts", 0)),
-            "repair_recovered": int(row.get("repair_recovered", 0)),
-            "repair_pattern_hits": int(row.get("repair_pattern_hits", 0)),
-            "prefix_hits": int(row.get("prefix_hits", 0)),
-            "prefix_misses": int(row.get("prefix_misses", 0)),
-            "llm_batched_calls": int(row.get("llm_batched_calls", 0)),
-            "llm_batch_draws": int(row.get("llm_batch_draws", 0)),
+            **{spec.name: int(row[spec.name]) for spec in SPAN_COUNTERS},
         }
         for stage, row in stage_breakdown(spans).items()
     ]
@@ -177,57 +162,32 @@ def build_run_report(
             }
         )
 
-    result_cache_hits = sum(1 for span in spans if span.cache_hit)
-    gold_executions = (
-        int(metrics.counter_total("gold_executions")) if metrics is not None else 0
-    )
-    stage_memo_hits = sum(
-        stage.memo_hits for span in spans for stage in span.stages
-    )
-    lru_hits = (
-        int(metrics.counter_total("lru_cache_hits")) if metrics is not None else 0
-    )
-    lru_misses = (
-        int(metrics.counter_total("lru_cache_misses")) if metrics is not None else 0
-    )
-    lru_lookups = lru_hits + lru_misses
-    serve_cache_hits = (
-        int(metrics.counter_total("serve_cache_hits")) if metrics is not None else 0
-    )
-    serve_cache_misses = (
-        int(metrics.counter_total("serve_cache_misses")) if metrics is not None else 0
-    )
-    serve_cache_evictions = (
-        int(metrics.counter_total("serve_cache_evictions"))
-        if metrics is not None
-        else 0
-    )
-    serve_spans_dropped = (
-        int(metrics.counter_total("serve_spans_dropped"))
-        if metrics is not None
-        else 0
-    )
-    pool_counters = {
-        name: int(metrics.counter_total(name)) if metrics is not None else 0
-        for name in ("pool_replicas", "pool_checkouts", "pool_refreshes", "pool_waits")
+    def registry_total(name: str) -> int:
+        return int(metrics.counter_total(name)) if metrics is not None else 0
+
+    # Span-counter totals over every traced stage, keyed by metric name;
+    # the ``repair_*`` ones fill the repair section, the rest the cache one.
+    counter_totals = {
+        spec.metric: sum(
+            stage.counters.get(spec.name, 0)
+            for span in spans
+            for stage in span.stages
+        )
+        for spec in SPAN_COUNTERS
     }
-    prefix_hits = sum(
-        getattr(stage, "prefix_hits", 0) for span in spans for stage in span.stages
-    )
-    prefix_misses = sum(
-        getattr(stage, "prefix_misses", 0) for span in spans for stage in span.stages
-    )
-    prefix_lookups = prefix_hits + prefix_misses
-    llm_batched_calls = sum(
-        getattr(stage, "llm_batched_calls", 0)
-        for span in spans
-        for stage in span.stages
-    )
-    llm_batch_draws = sum(
-        getattr(stage, "llm_batch_draws", 0)
-        for span in spans
-        for stage in span.stages
-    )
+    repair_counters = {
+        metric: value
+        for metric, value in counter_totals.items()
+        if metric.startswith("repair_")
+    }
+
+    result_cache_hits = sum(1 for span in spans if span.cache_hit)
+    gold_executions = registry_total("gold_executions")
+    lru_hits = registry_total("lru_cache_hits")
+    lru_misses = registry_total("lru_cache_misses")
+    lru_lookups = lru_hits + lru_misses
+    prefix_hits = counter_totals["prefix_hits"]
+    prefix_lookups = prefix_hits + counter_totals["prefix_misses"]
     cache = {
         "examples": n,
         "result_cache_hits": result_cache_hits,
@@ -235,54 +195,40 @@ def build_run_report(
         "result_cache_hit_pct": round(100.0 * result_cache_hits / n, 2) if n else 0.0,
         "gold_executions": gold_executions,
         "gold_executions_saved": max(n - gold_executions, 0) if n else 0,
-        "stage_memo_hits": stage_memo_hits,
         "lru_cache_hits": lru_hits,
         "lru_cache_misses": lru_misses,
         "lru_cache_hit_pct": (
             round(100.0 * lru_hits / lru_lookups, 2) if lru_lookups else 0.0
         ),
-        "serve_cache_hits": serve_cache_hits,
-        "serve_cache_misses": serve_cache_misses,
-        "serve_cache_evictions": serve_cache_evictions,
-        "serve_spans_dropped": serve_spans_dropped,
-        **pool_counters,
-        "prefix_hits": prefix_hits,
-        "prefix_misses": prefix_misses,
+        **{
+            name: registry_total(name)
+            for name in (
+                "serve_cache_hits", "serve_cache_misses",
+                "serve_cache_evictions", "serve_spans_dropped",
+                *POOL_METRICS.values(),
+            )
+        },
+        **{
+            metric: value
+            for metric, value in counter_totals.items()
+            if metric not in repair_counters
+        },
         "prefix_hit_pct": (
             round(100.0 * prefix_hits / prefix_lookups, 2) if prefix_lookups else 0.0
         ),
-        "llm_batched_calls": llm_batched_calls,
-        "llm_batch_draws": llm_batch_draws,
     }
 
-    repair_attempts = sum(
-        getattr(stage, "repair_attempts", 0)
-        for span in spans
-        for stage in span.stages
-    )
-    repair_recovered = sum(
-        getattr(stage, "repair_recovered", 0)
-        for span in spans
-        for stage in span.stages
-    )
-    repair_pattern_hits = sum(
-        getattr(stage, "repair_pattern_hits", 0)
-        for span in spans
-        for stage in span.stages
-    )
-    repair_examples = sum(
-        1
-        for span in spans
-        for stage in span.stages
-        if stage.stage == "repair"
-    )
+    repair_attempts = counter_totals["repair_attempts"]
     repair = {
-        "repair_examples": repair_examples,
-        "repair_attempts": repair_attempts,
-        "repair_recovered": repair_recovered,
-        "repair_pattern_hits": repair_pattern_hits,
+        "repair_examples": sum(
+            1
+            for span in spans
+            for stage in span.stages
+            if stage.stage == "repair"
+        ),
+        **repair_counters,
         "repair_recovery_pct": (
-            round(100.0 * repair_recovered / repair_attempts, 2)
+            round(100.0 * counter_totals["repair_recovered"] / repair_attempts, 2)
             if repair_attempts
             else 0.0
         ),

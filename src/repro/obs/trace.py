@@ -4,7 +4,8 @@ A :class:`Tracer` collects one :class:`ExampleSpan` per (method, example)
 evaluation; each holds ordered :class:`StageSpan` children for the
 pipeline stages in :data:`STAGES` (schema linking, few-shot retrieval,
 prompt build, decode, post-process, repair, execute, score), with wall time,
-LLM-call/token counters, cache-hit flags, hot-path memo-hit counters, and a failure-taxonomy tag from
+LLM-call/token counters, cache-hit flags, the declared counters of
+:data:`repro.obs.registry.SPAN_COUNTERS`, and a failure-taxonomy tag from
 :func:`repro.core.taxonomy.classify_failure`.  :func:`build_run_trace`
 groups the flat span stream into the canonical ``run -> method ->
 example -> stage`` hierarchy; :func:`stage_breakdown` aggregates the
@@ -36,7 +37,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import SPAN_COUNTERS, MetricsRegistry
 
 # Pipeline stages in execution order.  Unknown stage names are allowed
 # (custom methods may emit their own); these are the canonical eight.
@@ -52,32 +53,23 @@ STAGES = (
     "score",
 )
 
+# One zero per declared span counter, in table order.
+_ZERO_COUNTERS = {spec.name: 0 for spec in SPAN_COUNTERS}
+# The deterministic counters join ExampleSpan.structure(); the rest are
+# schedule-sensitive and left out of it.
+_STRUCTURE_COUNTERS = tuple(
+    spec.name for spec in SPAN_COUNTERS if spec.deterministic
+)
+
 
 @dataclass
 class StageSpan:
     """One pipeline stage within one example evaluation.
 
-    ``memo_hits`` counts hot-path memo hits observed inside the stage
-    (few-shot selection memo, intent memo, PICARD verdict memo,
-    candidate-execution LRU).  Unlike ``cache_hit`` it is deliberately
-    *excluded* from :meth:`ExampleSpan.structure`: memos are shared
-    process-wide, so hit patterns legitimately differ between sequential
-    and sharded parallel runs even though results are bit-identical.
-
-    The ``repair_*`` counters are populated only on ``repair`` stage
-    spans: attempts consumed and whether the prediction was recovered
-    are deterministic outcomes of the example (included in
-    ``structure()``), while ``repair_pattern_hits`` — like ``memo_hits``
-    — depends on which evaluation warmed the method's pattern store
-    first, so it is excluded.
-
-    ``prefix_hits`` / ``prefix_misses`` count prompt-prefix-cache segment
-    lookups (see :class:`repro.llm.engine.PromptPrefixCache`) and
-    ``llm_batched_calls`` / ``llm_batch_draws`` count batched
-    ``generate_many`` invocations and the draws they carried.  All four
-    are schedule-sensitive (cache warm-up order, batching switch) while
-    the *results* stay bit-identical, so — like ``memo_hits`` — they are
-    excluded from ``structure()``.
+    ``counters`` holds the declared counters of
+    :data:`~repro.obs.registry.SPAN_COUNTERS` (memo hits, repair
+    outcomes, prompt-prefix lookups, batched decodes) by name.  A zero
+    count is never stored, so a span equals its log-store round trip.
     """
 
     stage: str
@@ -85,14 +77,7 @@ class StageSpan:
     cache_hit: bool = False
     llm_calls: int = 0
     output_tokens: int = 0
-    memo_hits: int = 0
-    repair_attempts: int = 0
-    repair_recovered: int = 0
-    repair_pattern_hits: int = 0
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    llm_batched_calls: int = 0
-    llm_batch_draws: int = 0
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -111,7 +96,8 @@ class ExampleSpan:
     failure: str | None = None
 
     def structure(self) -> tuple:
-        """Timing-free identity: everything except wall-clock seconds.
+        """Timing-free identity: everything except wall-clock seconds
+        and the schedule-sensitive stage counters.
 
         Two runs of the same configuration — sequential or parallel —
         must produce equal structures for every example.
@@ -126,7 +112,7 @@ class ExampleSpan:
             self.failure,
             tuple(
                 (s.stage, s.cache_hit, s.llm_calls, s.output_tokens,
-                 s.repair_attempts, s.repair_recovered)
+                 *(s.counters.get(name, 0) for name in _STRUCTURE_COUNTERS))
                 for s in self.stages
             ),
         )
@@ -206,31 +192,24 @@ class Tracer:
             example_span.stages.append(span)
 
     def annotate_stage(
-        self,
-        llm_calls: int = 0,
-        output_tokens: int = 0,
-        memo_hits: int = 0,
-        repair_attempts: int = 0,
-        repair_recovered: int = 0,
-        repair_pattern_hits: int = 0,
-        prefix_hits: int = 0,
-        prefix_misses: int = 0,
-        llm_batched_calls: int = 0,
-        llm_batch_draws: int = 0,
+        self, llm_calls: int = 0, output_tokens: int = 0, **counts: int
     ) -> None:
-        """Add counters to the innermost open stage span (if any)."""
+        """Add counters to the innermost open stage span (if any).
+
+        ``counts`` takes the names declared in
+        :data:`~repro.obs.registry.SPAN_COUNTERS`; any other name raises
+        :class:`TypeError`.
+        """
+        if not counts.keys() <= _ZERO_COUNTERS.keys():
+            undeclared = sorted(counts.keys() - _ZERO_COUNTERS.keys())
+            raise TypeError(f"undeclared span counters: {undeclared}")
         span = getattr(self._tls, "stage", None)
         if span is not None:
             span.llm_calls += llm_calls
             span.output_tokens += output_tokens
-            span.memo_hits += memo_hits
-            span.repair_attempts += repair_attempts
-            span.repair_recovered += repair_recovered
-            span.repair_pattern_hits += repair_pattern_hits
-            span.prefix_hits += prefix_hits
-            span.prefix_misses += prefix_misses
-            span.llm_batched_calls += llm_batched_calls
-            span.llm_batch_draws += llm_batch_draws
+            for name, value in counts.items():
+                if value:
+                    span.counters[name] = span.counters.get(name, 0) + value
 
     # -- collection ------------------------------------------------------
 
@@ -268,17 +247,7 @@ class NullTracer(Tracer):
         return _NULL_CONTEXT
 
     def annotate_stage(
-        self,
-        llm_calls: int = 0,
-        output_tokens: int = 0,
-        memo_hits: int = 0,
-        repair_attempts: int = 0,
-        repair_recovered: int = 0,
-        repair_pattern_hits: int = 0,
-        prefix_hits: int = 0,
-        prefix_misses: int = 0,
-        llm_batched_calls: int = 0,
-        llm_batch_draws: int = 0,
+        self, llm_calls: int = 0, output_tokens: int = 0, **counts: int
     ) -> None:
         pass
 
@@ -359,37 +328,27 @@ def build_run_trace(dataset: str, spans: list[ExampleSpan]) -> RunTrace:
 def stage_breakdown(spans: list[ExampleSpan]) -> dict[str, dict[str, float]]:
     """Aggregate stage spans into the per-stage timing table.
 
-    Returns ``stage -> {calls, seconds, avg_ms, cache_hits, memo_hits,
-    llm_calls, output_tokens, repair_attempts, repair_recovered,
-    repair_pattern_hits, prefix_hits, prefix_misses, llm_batched_calls,
-    llm_batch_draws, share_pct}`` with stages in canonical order
-    (unknown stages follow alphabetically).
+    Returns ``stage -> {calls, seconds, avg_ms, cache_hits, llm_calls,
+    output_tokens, share_pct}`` plus one key per declared span counter
+    (:data:`~repro.obs.registry.SPAN_COUNTERS`), with stages in
+    canonical order (unknown stages follow alphabetically).
     """
     totals: dict[str, dict[str, float]] = {}
     for span in spans:
         for stage in span.stages:
-            row = totals.setdefault(
-                stage.stage,
-                {"calls": 0, "seconds": 0.0, "cache_hits": 0,
-                 "memo_hits": 0, "llm_calls": 0, "output_tokens": 0,
-                 "repair_attempts": 0, "repair_recovered": 0,
-                 "repair_pattern_hits": 0, "prefix_hits": 0,
-                 "prefix_misses": 0, "llm_batched_calls": 0,
-                 "llm_batch_draws": 0},
-            )
+            row = totals.get(stage.stage)
+            if row is None:
+                row = totals[stage.stage] = {
+                    "calls": 0, "seconds": 0.0, "cache_hits": 0,
+                    "llm_calls": 0, "output_tokens": 0, **_ZERO_COUNTERS,
+                }
             row["calls"] += 1
             row["seconds"] += stage.seconds
             row["cache_hits"] += int(stage.cache_hit)
-            row["memo_hits"] += stage.memo_hits
             row["llm_calls"] += stage.llm_calls
             row["output_tokens"] += stage.output_tokens
-            row["repair_attempts"] += stage.repair_attempts
-            row["repair_recovered"] += stage.repair_recovered
-            row["repair_pattern_hits"] += stage.repair_pattern_hits
-            row["prefix_hits"] += stage.prefix_hits
-            row["prefix_misses"] += stage.prefix_misses
-            row["llm_batched_calls"] += stage.llm_batched_calls
-            row["llm_batch_draws"] += stage.llm_batch_draws
+            for name, value in stage.counters.items():
+                row[name] += value
     grand_total = sum(row["seconds"] for row in totals.values())
     for row in totals.values():
         row["avg_ms"] = 1000.0 * row["seconds"] / max(row["calls"], 1)

@@ -29,7 +29,6 @@ from repro.serve.engine import (
     ServeStats,
     ServeStatus,
     ServingEngine,
-    ingest_serve_cache,
     ingest_serve_span,
     question_index,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ServeStats",
     "ServeStatus",
     "ServingEngine",
-    "ingest_serve_cache",
     "ingest_serve_span",
     "question_index",
     "WorkloadSpec",

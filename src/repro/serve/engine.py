@@ -69,7 +69,7 @@ from repro.errors import ServeError, ServeOverloaded
 from repro.errors import ServeTimeout as ServeTimeoutError
 from repro.methods.base import NL2SQLMethod
 from repro.methods.zoo import build_method, with_repair
-from repro.obs.registry import MetricsRegistry, ingest_pool_deltas
+from repro.obs.registry import POOL_METRICS, MetricsRegistry, ingest_deltas
 from repro.obs.trace import get_tracer
 from repro.serve.cache import DEFAULT_RESPONSE_CACHE_SIZE, ResponseCache
 from repro.serve.scheduler import DecodeScheduler
@@ -217,6 +217,13 @@ class ServeSpan:
     cache: str = "off"
 
 
+#: ``ResponseCache.stats()`` lifetime key -> metric, folded once at close.
+_SERVE_CACHE_METRICS = {
+    name: f"serve_cache_{name}"
+    for name in ("stores", "evictions", "expirations", "invalidations")
+}
+
+
 def ingest_serve_span(registry: MetricsRegistry, span: ServeSpan) -> None:
     """Fold one serve span into ``serve_*`` counters and histograms."""
     registry.count("serve_requests", method=span.method, status=span.status)
@@ -231,20 +238,6 @@ def ingest_serve_span(registry: MetricsRegistry, span: ServeSpan) -> None:
     registry.observe("serve_queue_wait_s", span.queue_wait_s, method=span.method)
     registry.observe("serve_service_s", span.service_s, method=span.method)
     registry.observe("serve_latency_s", span.total_s, method=span.method)
-
-
-def ingest_serve_cache(registry: MetricsRegistry, deltas: dict[str, int]) -> None:
-    """Fold one engine's response-cache counter deltas into ``serve_cache_*``.
-
-    ``deltas`` is a :meth:`ResponseCache.stats`-shaped dict (typically
-    end-of-run minus start-of-run); hits/misses arrive per request via
-    :func:`ingest_serve_span`, so only the store/eviction/expiry/
-    invalidation counters are folded here.
-    """
-    for name in ("stores", "evictions", "expirations", "invalidations"):
-        value = int(deltas.get(name, 0))
-        if value > 0:
-            registry.count(f"serve_cache_{name}", value=value)
 
 
 class ServeFuture:
@@ -450,26 +443,27 @@ class ServingEngine:
                 database.remove_mutation_listener(self._on_mutation)
             tracer = get_tracer()
             if tracer.enabled:
-                current = self.response_cache.stats()
-                deltas = {
-                    name: current.get(name, 0)
-                    - self._cache_stats_at_start.get(name, 0)
-                    for name in ("stores", "evictions", "expirations",
-                                 "invalidations")
-                }
-                ingest_serve_cache(tracer.metrics, deltas)
+                # Hits and misses arrive per request through
+                # ingest_serve_span; only the lifetime counters fold here.
+                ingest_deltas(
+                    tracer.metrics,
+                    self._cache_stats_at_start,
+                    self.response_cache.stats(),
+                    _SERVE_CACHE_METRICS,
+                )
         if self._started:
             # Once per engine lifetime (``_started`` drops below): fold
             # this engine's share of the databases' cumulative read-path
             # counters into ``pool_*`` metrics.
             tracer = get_tracer()
             if tracer.enabled:
-                ingest_pool_deltas(
+                ingest_deltas(
                     tracer.metrics,
-                    self.dataset.name,
-                    "serve",
                     self._pool_stats_at_start,
                     self.pool_stats(),
+                    POOL_METRICS,
+                    method="serve",
+                    benchmark=self.dataset.name,
                 )
         self._started = False
 
@@ -740,9 +734,9 @@ class ServingEngine:
                     self._pool.submit(self._run_batch, batch)
 
     def _run_batch(self, batch: list[_Computation]) -> None:
-        # The decode window makes every member request's decoder draws go
-        # through the batched model path; candidates stay bit-identical,
-        # so serving output is unchanged by the batching switch.
+        # The decode window counts every member request's decoder draws;
+        # each decode still makes its own batched model call, and
+        # candidates stay bit-identical across the batching switch.
         with self.decode_scheduler.window(len(batch)) as window:
             for computation in batch:
                 self._run_computation(computation, len(batch))

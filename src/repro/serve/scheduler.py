@@ -1,17 +1,16 @@
-"""Decode scheduler: batched model draws for serving micro-batches.
+"""Decode scheduler: counts the model draws of serving micro-batches.
 
 The serving engine groups waiting computations by ``(method, db_id)``
 into micro-batches (:class:`~repro.serve.engine.ServingEngine`'s
 scheduler thread).  A :class:`DecodeScheduler` rides along: it opens one
 *decode window* per micro-batch and installs it as the ambient window of
 the worker thread running that batch
-(:func:`repro.llm.engine.decode_window`).  Every decoder draw issued by
-a member request's :class:`~repro.llm.decoding.BoundSampler` is then
-submitted to the window, which routes the whole draw list through the
-model's batched :meth:`~repro.llm.model.SimulatedLanguageModel.generate_many`
-path — draw-invariant work (lexicon, intent parse, pruned schema,
-systematic corruption) is hoisted once per submission while each draw's
-stochastic stream stays bit-identical to sequential decoding.
+(:func:`repro.llm.engine.decode_window`).  Each decoder's draw list,
+issued by a member request's :class:`~repro.llm.decoding.BoundSampler`,
+is then submitted to the window, which passes it to the same batched
+:meth:`~repro.llm.model.SimulatedLanguageModel.generate_many` call that
+``BoundSampler.many`` makes without a window.  The window therefore
+only counts: draws of different requests are never combined.
 
 The window tallies deterministic counters (submissions routed, draws
 carried, largest single submission) that the engine folds into
@@ -64,7 +63,7 @@ class _DecodeWindow:
         self.max_submission = 0
 
     def submit(self, sampler, draws: list[tuple[int, float]]) -> list:
-        """Route one decoder's draw list through the batched model path."""
+        """Count one decoder's draw list, then run it as ``many`` would."""
         self.submissions += 1
         self.draws += len(draws)
         self.max_submission = max(self.max_submission, len(draws))

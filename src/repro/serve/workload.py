@@ -39,6 +39,11 @@ def build_workload(dataset: Dataset, spec: WorkloadSpec) -> list[ServeRequest]:
     is not correlated with dataset order.  Methods round-robin over
     ``spec.methods`` per distinct example, keeping each ``(method,
     db_id, question)`` key's popularity intact.
+
+    The distinct examples are the first ``spec.distinct_examples`` of
+    the dev split in dataset order, which is grouped by database: a
+    small count draws from few databases (from one, when it is no more
+    than the first database's dev examples).
     """
     if spec.requests <= 0:
         raise ServeError("workload needs a positive request count")

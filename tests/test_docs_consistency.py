@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import SPAN_COUNTERS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -300,18 +302,6 @@ class TestPipelineDocs:
         for repair_class in RepairClass:
             assert f"`{repair_class.value}`" in reference, repair_class
 
-    def test_repair_counters_exist_in_code_and_doc(self):
-        from repro.obs import StageSpan
-        reference = _read("docs/PIPELINE.md")
-        span = StageSpan(stage="repair")
-        for counter in (
-            "repair_attempts", "repair_recovered", "repair_pattern_hits"
-        ):
-            assert hasattr(span, counter), counter
-            assert f"`{counter}`" in reference, (
-                f"{counter} missing from docs/PIPELINE.md"
-            )
-
     def test_aas_genes_match_doc(self):
         from repro.core.design_space import DEFAULT_LAYERS, layers_with_repair
         reference = _read("docs/PIPELINE.md")
@@ -344,6 +334,49 @@ class TestPipelineDocs:
         }
 
 
+def _span_counter_table() -> dict[str, tuple[str, str]]:
+    """docs/OBSERVABILITY.md's span-counter table: name -> (class, metric)."""
+    text = _read("docs/OBSERVABILITY.md")
+    header = "| Counter | Class | Metric | Counted by |\n"
+    assert header in text, "span-counter table missing from OBSERVABILITY.md"
+    table = text.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([\w-]+) \| `(\w+)` \|", table, re.M)
+    return {name: (kind, metric) for name, kind, metric in rows}
+
+
+class TestSpanCounters:
+    """Each declared span counter is documented with its class, and its
+    class decides whether it joins the structure and equivalence key."""
+
+    @pytest.mark.parametrize(
+        "spec", SPAN_COUNTERS, ids=[spec.name for spec in SPAN_COUNTERS]
+    )
+    def test_counter_is_documented_ingested_and_classified(self, spec):
+        from repro.obs import (
+            ExampleSpan, MetricsRegistry, StageSpan, build_run_report,
+            ingest_span,
+        )
+        table = _span_counter_table()
+        assert set(table) == {declared.name for declared in SPAN_COUNTERS}
+        kind = "deterministic" if spec.deterministic else "schedule-sensitive"
+        assert table[spec.name] == (kind, spec.metric)
+        assert "SPAN_COUNTERS" in _read("docs/PIPELINE.md")
+
+        bare = ExampleSpan("m", "1", stages=[StageSpan("decode")])
+        counted = ExampleSpan(
+            "m", "1", stages=[StageSpan("decode", counters={spec.name: 3})]
+        )
+        registry = MetricsRegistry()
+        ingest_span(registry, "b", counted)
+        assert registry.counter_total(spec.metric, stage="decode") == 3
+
+        schedule_sensitive = not spec.deterministic
+        assert (bare.structure() == counted.structure()) == schedule_sensitive
+        bare_key = build_run_report([], [bare]).equivalence_key()
+        counted_key = build_run_report([], [counted]).equivalence_key()
+        assert (bare_key == counted_key) == schedule_sensitive
+
+
 class TestLLMEngineDocs:
     def test_engine_symbols_exist_and_are_documented(self):
         import repro.llm
@@ -366,43 +399,6 @@ class TestLLMEngineDocs:
             assert not batching_enabled()
         assert batching_enabled()
         assert callable(set_batching_enabled)
-
-    def test_engine_counters_exist_in_code_and_docs(self):
-        from repro.obs import StageSpan
-        span = StageSpan(stage="decode")
-        observability = _read("docs/OBSERVABILITY.md")
-        pipeline = _read("docs/PIPELINE.md")
-        for counter in (
-            "prefix_hits", "prefix_misses", "llm_batched_calls",
-            "llm_batch_draws",
-        ):
-            assert hasattr(span, counter), counter
-            assert f"`{counter}`" in observability, (
-                f"{counter} missing from docs/OBSERVABILITY.md"
-            )
-            assert f"`{counter}`" in pipeline, (
-                f"{counter} missing from docs/PIPELINE.md"
-            )
-
-    def test_engine_counters_are_schedule_sensitive(self):
-        # The docs claim the counters are excluded from span structures
-        # and report equivalence keys; hold the code to it.
-        from repro.obs import ExampleSpan, StageSpan
-        bare = ExampleSpan(
-            method="m", example_id=1, stages=[StageSpan(stage="decode")]
-        )
-        counted = ExampleSpan(
-            method="m", example_id=1,
-            stages=[StageSpan(
-                stage="decode", prefix_hits=3, prefix_misses=1,
-                llm_batched_calls=2, llm_batch_draws=9,
-            )],
-        )
-        assert bare.structure() == counted.structure()
-        from repro.obs.report import _SCHEDULE_SENSITIVE_CACHE_KEYS
-        for key in ("prefix_hits", "prefix_misses", "llm_batched_calls",
-                    "llm_batch_draws"):
-            assert key in _SCHEDULE_SENSITIVE_CACHE_KEYS, key
 
     def test_decode_scheduler_is_documented(self):
         import repro.serve

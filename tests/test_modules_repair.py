@@ -445,8 +445,10 @@ class TestPipelineWiring:
             s for sp in spans for s in sp.stages if s.stage == "repair"
         ]
         assert len(repair_stages) == len(small_dataset.dev_examples)
-        attempts = sum(s.repair_attempts for s in repair_stages)
-        recovered = sum(s.repair_recovered for s in repair_stages)
+        attempts = sum(s.counters.get("repair_attempts", 0) for s in repair_stages)
+        recovered = sum(
+            s.counters.get("repair_recovered", 0) for s in repair_stages
+        )
         assert attempts > 0, "the dev split must exercise the repair path"
         assert 0 <= recovered <= attempts
 
@@ -467,7 +469,9 @@ class TestPipelineWiring:
         assert [s.structure() for s in warm_spans] == \
             [s.structure() for s in cold_spans]
         warm_hits = sum(
-            s.repair_pattern_hits for sp in warm_spans for s in sp.stages
+            s.counters.get("repair_pattern_hits", 0)
+            for sp in warm_spans
+            for s in sp.stages
         )
         assert warm_hits > 0, "warm pass must be served by the pattern store"
         fresh = with_repair(build_method(METHOD))
@@ -620,4 +624,6 @@ class TestRepairReporting:
         loaded_stages = [
             s for sp in loaded for s in sp.stages if s.stage == "repair"
         ]
-        assert sum(s.repair_attempts for s in loaded_stages) > 0
+        assert sum(
+            s.counters.get("repair_attempts", 0) for s in loaded_stages
+        ) > 0

@@ -7,6 +7,8 @@ trees (modulo timings) and identical report failure/cache/cost sections.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.core.evaluator import Evaluator
@@ -14,8 +16,11 @@ from repro.core.logs import ExperimentLogStore
 from repro.core.parallel import ParallelEvaluator
 from repro.methods.zoo import build_method
 from repro.obs import (
+    SPAN_COUNTERS,
     STAGES,
+    ExampleSpan,
     MetricsRegistry,
+    StageSpan,
     build_run_report,
     render_json,
     render_markdown,
@@ -187,10 +192,72 @@ class TestPersistenceRoundTrip:
             assert rebuilt.as_dict() == in_memory.as_dict()
             assert report_from_store(store, run_id).as_dict() == in_memory.as_dict()
 
+    def test_old_trace_table_gains_counter_columns_on_open(
+        self, tmp_path, small_dataset, sequential_traced
+    ):
+        # The trace_spans shape before any span counter was persisted.
+        path = tmp_path / "old.db"
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "CREATE TABLE trace_spans (run_id INTEGER NOT NULL,"
+                " position INTEGER NOT NULL, method TEXT NOT NULL,"
+                " example_id TEXT NOT NULL, stage TEXT NOT NULL DEFAULT '',"
+                " seconds REAL NOT NULL, cache_hit INTEGER NOT NULL,"
+                " llm_calls INTEGER NOT NULL, input_tokens INTEGER NOT NULL,"
+                " output_tokens INTEGER NOT NULL, cost_usd REAL NOT NULL,"
+                " failure TEXT, PRIMARY KEY (run_id, position))"
+            )
+            connection.executemany(
+                "INSERT INTO trace_spans VALUES"
+                " (0, ?, 'M', 'x', ?, 0.5, 0, ?, 0, 4, 0.0, NULL)",
+                [(0, "", 0), (1, "decode", 2)],
+            )
+        connection.close()
+        reports, spans, _ = sequential_traced
+        assert any(stage.counters for span in spans for stage in span.stages)
+        with ExperimentLogStore(path) as store:
+            columns = {
+                row[1] for row in store.query("PRAGMA table_info(trace_spans)")
+            }
+            assert {spec.name for spec in SPAN_COUNTERS} <= columns
+            assert store.load_trace(0) == [ExampleSpan(
+                "M", "x", seconds=0.5, output_tokens=4,
+                stages=[StageSpan("decode", seconds=0.5, llm_calls=2,
+                                  output_tokens=4)],
+            )]
+            run_id = store.store_records(
+                small_dataset.name, reports[METHODS[0]].records
+            )
+            store.store_trace(run_id, spans)
+            assert store.load_trace(run_id) == spans
+
     def test_report_from_empty_store_raises(self):
         with ExperimentLogStore() as store:
             with pytest.raises(ValueError):
                 report_from_store(store)
+
+
+class TestRunDeltaMetrics:
+    def test_traced_sequential_run_counts_pool_and_lru_deltas(
+        self, small_dataset
+    ):
+        def checkouts():
+            return sum(
+                database.pool_stats()["checkouts"]
+                for database in small_dataset.databases.values()
+            )
+
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        before = checkouts()
+        with tracing() as tracer:
+            evaluator.evaluate_method(build_method(METHODS[0]))
+        delta = checkouts() - before
+        labels = {"method": METHODS[0], "benchmark": small_dataset.name}
+        assert delta > 0
+        assert tracer.metrics.counter_total("pool_checkouts", **labels) == delta
+        assert tracer.metrics.counter_total(
+            "lru_cache_hits", cache="candidate_exec", **labels
+        ) > 0
 
 
 class TestServeCacheReporting:

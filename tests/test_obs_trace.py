@@ -11,6 +11,7 @@ from repro.core.taxonomy import (
     failure_category,
 )
 from repro.obs import (
+    SPAN_COUNTERS,
     STAGES,
     ExampleSpan,
     HistogramSummary,
@@ -20,6 +21,7 @@ from repro.obs import (
     Tracer,
     build_run_trace,
     get_tracer,
+    ingest_deltas,
     ingest_span,
     set_tracer,
     stage_breakdown,
@@ -43,6 +45,15 @@ class TestTracer:
         assert span.stages[0].llm_calls == 2
         assert span.stages[0].output_tokens == 30
         assert span.seconds >= span.stages[0].seconds
+
+    def test_annotate_stage_rejects_undeclared_counter(self):
+        tracer = Tracer()
+        with tracer.example("M", "ex-1"):
+            with tracer.stage("decode") as stage:
+                with pytest.raises(TypeError, match="memo_hit"):
+                    tracer.annotate_stage(memo_hits=1, memo_hit=1)
+                tracer.annotate_stage(memo_hits=2, prefix_hits=0)
+        assert stage.counters == {"memo_hits": 2}
 
     def test_stage_outside_example_is_noop(self):
         tracer = Tracer()
@@ -230,16 +241,37 @@ class TestMetricsRegistry:
 
     def test_ingest_span_counts_failures_and_stages(self):
         registry = MetricsRegistry()
+        counts = {spec.name: rank + 1 for rank, spec in enumerate(SPAN_COUNTERS)}
         span = ExampleSpan("M", "x", failure="schema_error", stages=[
-            StageSpan("decode", seconds=0.1, llm_calls=3),
-            StageSpan("execute", seconds=0.2, cache_hit=True),
+            StageSpan("decode", seconds=0.1, llm_calls=3, counters=counts),
+            StageSpan("execute", seconds=0.2, cache_hit=True,
+                      counters={"memo_hits": 0}),
         ])
         ingest_span(registry, "spider", span)
         assert registry.counter_total("failures", category="schema_error") == 1
         assert registry.counter_total("llm_calls", stage="decode") == 3
         assert registry.counter_total("stage_cache_hits", stage="execute") == 1
+        for spec in SPAN_COUNTERS:
+            assert registry.counter_total(
+                spec.metric, stage="decode", method="M", benchmark="spider"
+            ) == counts[spec.name], spec
+        # A zero count emits no series.
+        assert {
+            name for name, labels, _ in registry.counters()
+            if labels.get("stage") == "execute"
+        } == {"stage_cache_hits"}
         names = {name for name, _, _ in registry.histograms()}
         assert names == {"stage_seconds"}
+
+    def test_ingest_deltas_folds_positive_differences(self):
+        registry = MetricsRegistry()
+        names = {"checkouts": "pool_checkouts", "waits": "pool_waits",
+                 "created": "pool_replicas"}
+        before = {"checkouts": 2, "waits": 1, "created": 1}
+        after = {"checkouts": 7, "waits": 1}
+        ingest_deltas(registry, before, after, names, method="M")
+        ingest_deltas(registry, None, after, names, method="M")
+        assert registry.counters() == [("pool_checkouts", {"method": "M"}, 5.0)]
 
 
 class TestFailureTaxonomy:

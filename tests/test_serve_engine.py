@@ -40,7 +40,7 @@ from repro.serve import (
 )
 from repro.utils.cache import LogicalClock
 
-from tests.conftest import edit_one_row_sql, small_benchmark_config
+from tests.conftest import small_benchmark_config
 
 METHOD = "C3SQL"
 
@@ -156,6 +156,47 @@ class TestCoalescing:
         assert all(response.ok for response in responses)
         assert engine.stats.coalesce_hits == 0
         assert engine.stats.computed == len(requests)
+
+
+class TestMicroBatching:
+    def test_paused_drain_chunks_each_method_and_database_group(
+        self, small_dataset, served_method
+    ):
+        # build_workload's first examples all come from one database, so
+        # the requests here are picked per database by hand.
+        other = build_method("DAILSQL", seed=42)
+        other.prepare(small_dataset)
+        methods = {METHOD: served_method, "DAILSQL": other}
+        by_db: dict[str, list] = {}
+        for example in small_dataset.dev_examples:
+            by_db.setdefault(example.db_id, []).append(example)
+        first, second, third = sorted(by_db)[:3]
+        # Group sizes 4, 2, 2, 4 at step 3: grouping by method alone, by
+        # database alone, or not at all would give other batch counts.
+        pairs = (
+            [(METHOD, e) for e in by_db[first][:4] + by_db[second][:2]]
+            + [("DAILSQL", e) for e in by_db[first][4:6] + by_db[third][:4]]
+        )
+        random.Random(3).shuffle(pairs)
+        requests = [ServeRequest(name, e.db_id, e.question) for name, e in pairs]
+        assert len({request.key for request in requests}) == len(requests)
+        step = 3
+        config = ServeConfig(
+            methods=tuple(methods), workers=2, measure_timing=False,
+            max_batch_size=step,
+        )
+        with ServingEngine(small_dataset, config, methods=methods) as engine:
+            responses = engine.serve(requests, submit_paused=True)
+        groups = Counter((request.method, request.db_id) for request in requests)
+        assert len(groups) == 4
+        assert engine.stats.batches == sum(-(-n // step) for n in groups.values())
+        assert engine.stats.max_batch == max(min(n, step) for n in groups.values())
+        offline = Evaluator(small_dataset, measure_timing=False)
+        for (name, example), response in zip(pairs, responses):
+            assert response.ok
+            assert response.record == offline.evaluate_example(
+                methods[name], example
+            )
 
 
 class TestAdmissionControl:
@@ -523,7 +564,15 @@ class TestResponseCacheInvalidation:
             assert len(cache) == len(keys)
             hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
             database = private_dataset.databases[target]
-            assert database.apply_write(edit_one_row_sql(database.schema)) == 1
+            # Upper-casing one value changes what an affected record's
+            # gold query (``= 'Economics'``) returns but not what its
+            # prediction (``LIKE 'Economics'``) returns, so a stale serve
+            # would show as a record mismatch below.
+            assert target == "college_100"
+            assert database.apply_write(
+                "UPDATE departments SET department_name = 'ECONOMICS'"
+                " WHERE department_name = 'Economics'"
+            ) == 1
             # The commit's mutation listener purged exactly the edited
             # database's entries.
             assert cache.stats()["invalidations"] == len(affected_keys)
@@ -532,6 +581,7 @@ class TestResponseCacheInvalidation:
             assert engine.stats.cache_hits - hits == len(workload) - len(affected)
             assert engine.stats.cache_misses - misses == len(affected)
         after = {**before, **reference(affected_keys)}
+        assert any(after[key] != before[key] for key in affected_keys)
         stale = [
             r for r in replay if not r.ok or r.record != after[r.request.key]
         ]

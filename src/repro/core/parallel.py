@@ -68,8 +68,6 @@ from repro.datagen.benchmark import BenchmarkConfig, Dataset, Example, build_ben
 from repro.methods.base import MethodGroup, NL2SQLMethod, PipelineMethod
 from repro.modules.base import PipelineConfig
 from repro.obs.registry import MetricsRegistry
-from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
-from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
 from repro.obs.trace import ExampleSpan, Tracer, get_tracer, set_tracer
 from repro.sqlkit.features import SQLFeatures
@@ -144,16 +142,12 @@ def _worker_init(
     measure_timing: bool,
     timing_repeats: int,
     trace_enabled: bool = False,
-    switches: dict | None = None,
+    caches: bool = True,
 ) -> None:
-    if switches is not None:
-        # Explicit switch propagation: a spawn-context worker resets
-        # these process globals to their defaults, so the coordinator's
-        # choices must be re-applied (fork inherits them, harmlessly
-        # re-applied).
-        set_caches_enabled(bool(switches.get("caches", True)))
-        set_pooling_enabled(bool(switches.get("pooling", True)))
-        set_batching_enabled(bool(switches.get("batching", True)))
+    # Explicit switch propagation: a spawn-context worker resets the memo
+    # switch to its default, so the coordinator's choice is re-applied
+    # (fork inherits it, harmlessly re-applied).
+    set_caches_enabled(caches)
     dataset = build_benchmark(benchmark_config)
     _WORKER["dataset"] = dataset
     _WORKER["evaluator"] = Evaluator(
@@ -288,11 +282,7 @@ class ParallelEvaluator:
                     self.measure_timing,
                     self.timing_repeats,
                     get_tracer().enabled,
-                    {
-                        "caches": caches_enabled(),
-                        "pooling": pooling_enabled(),
-                        "batching": batching_enabled(),
-                    },
+                    caches_enabled(),
                 ),
             )
         return self._pool

@@ -1,8 +1,7 @@
 """Database engine: SQLite materialization, safe execution, timing.
 
 Reads run through a per-database pool of read-only replica connections
-(:mod:`repro.dbengine.pool`); the legacy locked shared-connection path
-remains available via :func:`pooling_disabled` for equivalence testing.
+(:mod:`repro.dbengine.pool`).
 
 Three rules make executions pure given database content, which is what
 lets result caches, the serving response cache and cross-process shards
@@ -14,8 +13,8 @@ agree:
   rolls back, so no partial rows and no open transaction survive for a
   later commit to publish, and the version and listeners stay untouched.
 * Reads reject writes: a mutating candidate fails with SQLite's
-  ``attempt to write a readonly database`` on the pooled and the locked
-  path alike.
+  ``attempt to write a readonly database``, the same error a
+  ``query_only`` master connection gives.
 """
 
 from repro.dbengine.database import Database
@@ -24,9 +23,6 @@ from repro.dbengine.pool import (
     DEFAULT_POOL_SIZE,
     PoolStats,
     ReadConnectionPool,
-    pooling_disabled,
-    pooling_enabled,
-    set_pooling_enabled,
 )
 from repro.dbengine.timing import TimedExecution, timed_execute, ves_ratio
 
@@ -41,7 +37,4 @@ __all__ = [
     "DEFAULT_POOL_SIZE",
     "PoolStats",
     "ReadConnectionPool",
-    "pooling_disabled",
-    "pooling_enabled",
-    "set_pooling_enabled",
 ]

@@ -13,7 +13,6 @@ import sqlite3
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.dbengine.pool import pooling_enabled
 from repro.errors import ExecutionError, ExecutionTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (type-only)
@@ -117,23 +116,10 @@ def execute_sql(
     Replicas refresh from the master whenever ``data_version`` advanced,
     and checkouts are exclusive, so queries from many threads run truly
     concurrently with no cross-call PRAGMA or progress-handler
-    interleaving.  With :func:`~repro.dbengine.pool.pooling_disabled` the
-    legacy locked shared-connection path is used instead; results are
-    bit-identical either way.
+    interleaving.
     """
-    if pooling_enabled():
-        with database.read_pool().checkout() as connection:
-            return _run_readonly(connection, sql, max_rows, timeout_ms)
-    connection = database.connection
-    # Legacy path: the database lock serializes concurrent executions on
-    # the one shared connection — the PRAGMA toggle and progress-handler
-    # install/remove below must not interleave between threads.
-    with database.lock:
-        connection.execute("PRAGMA query_only = ON")
-        try:
-            return _run_readonly(connection, sql, max_rows, timeout_ms)
-        finally:
-            connection.execute("PRAGMA query_only = OFF")
+    with database.read_pool().checkout() as connection:
+        return _run_readonly(connection, sql, max_rows, timeout_ms)
 
 
 def execute_sql_cached(

@@ -24,10 +24,9 @@ to ``size`` private replica connections per :class:`Database`:
 * checkouts are exclusive — each holder owns its replica's progress
   handler, so interrupt budgets can no longer interleave across calls.
 
-A process-global switch (:func:`pooling_enabled` /
-:func:`set_pooling_enabled` / :func:`pooling_disabled`) lets equivalence
-tests run the exact same workload through the legacy locked
-shared-connection path; results must be bit-identical either way.
+Every read checks out a replica.  ``tests/test_dbengine_pool.py``
+compares pooled reads with a read made on the master connection, rows
+and write errors alike.
 """
 
 from __future__ import annotations
@@ -169,30 +168,3 @@ class ReadConnectionPool:
                 replica.connection.close()
             self._idle.clear()
             self._available.notify_all()
-
-
-# -- global enable switch ------------------------------------------------
-
-_POOLING_ENABLED = True
-
-
-def pooling_enabled() -> bool:
-    """True while execute_sql routes reads through replica pools."""
-    return _POOLING_ENABLED
-
-
-def set_pooling_enabled(enabled: bool) -> None:
-    """Globally route reads through pools (True) or the legacy path."""
-    global _POOLING_ENABLED
-    _POOLING_ENABLED = bool(enabled)
-
-
-@contextmanager
-def pooling_disabled() -> Iterator[None]:
-    """Scoped fallback to the locked shared-connection execution path."""
-    previous = _POOLING_ENABLED
-    set_pooling_enabled(False)
-    try:
-        yield
-    finally:
-        set_pooling_enabled(previous)

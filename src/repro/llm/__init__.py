@@ -3,11 +3,8 @@
 from repro.llm.engine import (
     PromptPrefixCache,
     PromptSegment,
-    batching_disabled,
-    batching_enabled,
     clear_prefix_cache,
     prefix_cache,
-    set_batching_enabled,
 )
 from repro.llm.profile import FineTuneState, ModelProfile
 from repro.llm.registry import MODEL_REGISTRY, get_profile
@@ -20,11 +17,8 @@ from repro.llm.finetune import fine_tune_boost, make_finetune_state
 __all__ = [
     "PromptPrefixCache",
     "PromptSegment",
-    "batching_disabled",
-    "batching_enabled",
     "clear_prefix_cache",
     "prefix_cache",
-    "set_batching_enabled",
     "FineTuneState",
     "ModelProfile",
     "MODEL_REGISTRY",

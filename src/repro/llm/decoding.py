@@ -16,11 +16,11 @@ historical closure contract, still used by the repair engine and
 self-correction) and additionally exposes :meth:`BoundSampler.many`,
 which routes a whole batch of draws through the model's batched
 ``generate_many`` path — bit-identical to per-draw calls, draw-invariant
-work hoisted once.  ``many`` falls back to sequential per-draw calls
-when batching is globally disabled
-(:func:`repro.llm.engine.batching_disabled`), and reports through the
-ambient decode window when one is installed (the serving scheduler's
-counting hook: the window makes the same ``generate_batch`` call).
+work hoisted once.  ``many`` reports through the ambient decode window
+when one is installed (the serving scheduler's counting hook: the
+window makes the same ``generate_batch`` call).  Plain-function
+samplers draw once per call, which is how the tests compare every
+decoder's batched path with per-draw ``generate``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.dbengine.database import Database
-from repro.llm.engine import batching_enabled, current_decode_window
+from repro.llm.engine import current_decode_window
 from repro.llm.model import GenerationCandidate, SimulatedLanguageModel
 from repro.llm.prompt import Prompt
 from repro.llm.tokens import count_tokens
@@ -76,22 +76,18 @@ class BoundSampler:
     def generate_batch(
         self, draws: list[tuple[int, float]]
     ) -> list[GenerationCandidate]:
-        """Run ``draws`` through the batched model path (no window/switch)."""
+        """Run ``draws`` through the batched model path (no window)."""
         return self.model.generate_many(
             self.prompt, self.database, list(draws), **self._options
         )
 
     def many(self, draws: list[tuple[int, float]]) -> list[GenerationCandidate]:
-        """Candidates for ``draws``, batched when batching is enabled.
+        """Candidates for ``draws`` from one batched ``generate_many`` call.
 
-        With batching disabled this is exactly the sequential per-draw
-        loop; with it enabled the batch runs through ``generate_many``
-        — both paths produce bit-identical candidates.  An ambient
+        Bit-identical to calling the sampler once per draw.  An ambient
         decode window (installed by the serving scheduler) counts the
         batch and then makes the same ``generate_batch`` call.
         """
-        if not batching_enabled():
-            return [self(draw, temperature) for draw, temperature in draws]
         window = current_decode_window()
         if window is not None:
             return window.submit(self, list(draws))
@@ -167,10 +163,7 @@ class PicardDecoder:
     is checked once.  Beam *composition* is untouched: re-drawn accepted
     duplicates still fill beam slots (they act as self-consistency votes
     downstream) and rejected duplicates still consume attempts, exactly
-    as in unmemoized decoding.  ``distinct=True`` opts into skipping
-    duplicates entirely so attempts are spent on distinct candidates —
-    that changes beam composition and therefore downstream selection, so
-    it is off by default and unused by the reproduced method configs.
+    as in unmemoized decoding.
 
     Batching: the attempt loop always consumes at least
     ``min(width, max_attempts)`` draws before it can stop (the beam
@@ -181,7 +174,6 @@ class PicardDecoder:
 
     width: int = 4
     max_attempts: int = 10
-    distinct: bool = False
 
     def decode(
         self, sample: SampleFn, checker: PicardChecker
@@ -206,8 +198,6 @@ class PicardDecoder:
             if verdict is None:
                 verdict = checker.accepts(candidate.sql)
                 verdicts[candidate.sql] = verdict
-            elif self.distinct:
-                continue
             if verdict:
                 accepted.append(candidate)
         if not accepted:

@@ -1,4 +1,4 @@
-"""Batched LM inference engine plumbing: prefix cache, batching switch.
+"""Batched LM inference engine plumbing: prefix cache, decode window.
 
 This module is the infrastructure layer behind the batched generation
 path (``SimulatedLanguageModel.generate_many``) and the prefix-cached
@@ -19,24 +19,19 @@ prompt builder (:func:`repro.modules.prompts.build_prompt`):
   token budget.  All questions against the same database share one
   rendered (and token-counted) DDL segment, exactly like the prefix/
   radix KV caches of real inference servers share the prompt prefix.
-* a process-global **batching switch** — :func:`batching_enabled`,
-  :func:`set_batching_enabled`, and the :func:`batching_disabled`
-  context manager — mirroring ``caches_disabled()`` /
-  ``pooling_disabled()``.  The switch gates only *how* draws are
-  executed (batched vs one ``generate`` call per draw); results are
-  bit-identical either way, which ``tests/test_llm_engine.py`` asserts
-  across every decoder and execution mode.
 * a thread-local **decode window** registry — the hook through which
   :class:`repro.serve.scheduler.DecodeScheduler` observes (and
   accounts) the batched decode calls a ``(method, db_id)`` micro-batch
   submits, without ``repro.llm`` ever importing ``repro.serve``.
 
+Per-draw ``generate`` calls stay the reference that batched decoding is
+tested against (``tests/test_llm_engine.py``).
+
 Thread/process safety: the prefix cache wraps thread-safe
 :class:`~repro.utils.cache.LRUCache` instances and may be shared across
 threads; it does not cross process boundaries (worker processes build
-their own lazily).  The batching switch is process-global like the memo
-and pooling switches; spawn-context workers must receive it explicitly
-(see the gateway handshake and ``repro.core.parallel``).
+their own lazily).  Its lookups obey the process-global memo switch
+(:func:`repro.utils.cache.caches_enabled`).
 """
 
 from __future__ import annotations
@@ -126,33 +121,6 @@ def prefix_cache() -> PromptPrefixCache:
 def clear_prefix_cache() -> None:
     """Drop every cached segment (tests and long-lived servers)."""
     _PREFIX_CACHE.clear()
-
-
-# -- batching switch ------------------------------------------------------
-
-_BATCHING_ENABLED = True
-
-
-def batching_enabled() -> bool:
-    """True while the batched decode path is active (the default)."""
-    return _BATCHING_ENABLED
-
-
-def set_batching_enabled(enabled: bool) -> None:
-    """Globally enable/disable batched generation."""
-    global _BATCHING_ENABLED
-    _BATCHING_ENABLED = bool(enabled)
-
-
-@contextmanager
-def batching_disabled() -> Iterator[None]:
-    """Scoped bypass of the batched decode path (equivalence tests)."""
-    previous = _BATCHING_ENABLED
-    set_batching_enabled(False)
-    try:
-        yield
-    finally:
-        set_batching_enabled(previous)
 
 
 # -- decode window registry ----------------------------------------------

@@ -364,10 +364,10 @@ def render_markdown(report: RunReport) -> str:
         f"({cache.get('serve_cache_evictions', 0)} evictions)",
         f"- serve spans dropped from the request log: "
         f"{cache.get('serve_spans_dropped', 0)}",
-        f"- read path: {cache.get('pool_checkouts', 0)} checkouts over "
-        f"{cache.get('pool_replicas', 0)} replicas "
-        f"({cache.get('pool_refreshes', 0)} refreshes, "
-        f"{cache.get('pool_waits', 0)} waits)",
+        f"- read path: {cache.get('pool_checkouts', 0)} checkouts, "
+        f"{cache.get('pool_replicas', 0)} replicas created, "
+        f"{cache.get('pool_refreshes', 0)} refreshes, "
+        f"{cache.get('pool_waits', 0)} waits during the run",
         f"- prompt prefix cache: {cache.get('prefix_hits', 0)} segment hits / "
         f"{cache.get('prefix_misses', 0)} misses "
         f"({cache.get('prefix_hit_pct', 0.0)}% hit rate)",

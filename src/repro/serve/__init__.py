@@ -6,7 +6,7 @@ in-flight coalescing, admission control, deadlines, warm start);
 member requests' decoder draws run through the model's batched
 ``generate_many`` path (bit-identical candidates, hoisted per-question
 work); :mod:`repro.serve.cache` is the cross-request response cache tier
-(TTL+LRU, ``data_version``-invalidated); :mod:`repro.serve.workload`
+(LRU, ``data_version``-invalidated); :mod:`repro.serve.workload`
 generates seeded Zipf-skewed request streams; :mod:`repro.serve.gateway`
 shards databases across spawn-context worker processes behind an async
 HTTP gateway (``/query`` / ``/healthz`` / ``/metrics``).  See

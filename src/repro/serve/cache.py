@@ -15,26 +15,24 @@ db_id, normalized_question, data_version)``:
   engine) additionally purges the orphaned entries eagerly and counts
   them.
 
-Storage is a :class:`repro.utils.cache.TTLCache`: bounded LRU with an
-optional time-to-live measured on a pluggable clock
-(:class:`repro.utils.cache.LogicalClock` makes TTL expiry deterministic
-in tests).  Cached records are the exact offline
-:class:`~repro.core.metrics.EvaluationRecord` objects, so cache hits are
-bit-identical to fresh evaluations.
+Storage is a bounded :class:`repro.utils.cache.LRUCache`.  Entries have
+no time-to-live: the version key and the eager purge already keep a
+record from outliving the content it was computed on.  Cached records
+are the exact offline :class:`~repro.core.metrics.EvaluationRecord`
+objects, so cache hits are bit-identical to fresh evaluations.
 
 Thread/process safety: every method is safe from any thread (one cache
-lock plus the TTL store's own lock); instances do not cross process
+lock plus the LRU's own lock); instances do not cross process
 boundaries.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
 from typing import Hashable
 
 from repro.core.metrics import EvaluationRecord
-from repro.utils.cache import TTLCache
+from repro.utils.cache import LRUCache
 from repro.utils.text import normalize_question
 
 #: Default bound on cached responses per engine.
@@ -42,16 +40,10 @@ DEFAULT_RESPONSE_CACHE_SIZE = 4096
 
 
 class ResponseCache:
-    """Bounded TTL+LRU memo of served records, invalidated by data_version."""
+    """Bounded LRU memo of served records, invalidated by data_version."""
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_RESPONSE_CACHE_SIZE,
-        ttl_s: float | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self.ttl_s = ttl_s
-        self._cache = TTLCache(maxsize=maxsize, ttl=ttl_s, clock=clock)
+    def __init__(self, maxsize: int = DEFAULT_RESPONSE_CACHE_SIZE) -> None:
+        self._cache = LRUCache(maxsize=maxsize)
         self._lock = threading.Lock()
         self._invalidations = 0
         self._stores = 0
@@ -65,7 +57,7 @@ class ResponseCache:
     def lookup(
         self, method: str, db_id: str, question: str, data_version: int
     ) -> EvaluationRecord | None:
-        """Return the cached record, or ``None`` on a miss/expiry."""
+        """Return the cached record, or ``None`` on a miss."""
         hit, value = self._cache.lookup(self.key(method, db_id, question, data_version))
         return value if hit else None
 
@@ -106,8 +98,14 @@ class ResponseCache:
         return len(self._cache)
 
     def stats(self) -> dict[str, int]:
-        """Deterministic counters: hits/misses/expirations/evictions/…"""
-        stats = self._cache.stats()
+        """Deterministic counters: hits/misses/evictions/entries/…"""
+        cache = self._cache
+        stats = {
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "evictions": cache.evictions,
+            "entries": len(cache),
+        }
         with self._lock:
             stats["invalidations"] = self._invalidations
             stats["stores"] = self._stores

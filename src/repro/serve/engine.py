@@ -33,10 +33,11 @@ Moving parts:
   a per-request deadline resolves with a typed ``TIMEOUT`` response
   instead of hanging, and computations whose every waiter has expired
   are shed without running.
-* **Warm start** — :meth:`warmup` prepares each served method (few-shot
-  index build), precomputes gold executions for the served split, and
-  primes per-database prompt/schema caches with one prediction per
-  ``(method, database)`` before traffic is accepted.
+* **Warm start** — ``start()`` always runs :meth:`warmup`, which
+  prepares each served method (few-shot index build), precomputes gold
+  executions for the served split, and primes per-database
+  prompt/schema caches with one prediction per ``(method, database)``
+  before traffic is accepted.
 * **Observability** — per-request serve spans (queue wait, service
   time, coalesce flag, batch size) feed the ambient tracer's
   :class:`~repro.obs.registry.MetricsRegistry` under ``serve_*`` names
@@ -150,12 +151,9 @@ class ServeConfig:
     max_batch_size: int = 32
     coalesce: bool = True
     default_deadline_s: float | None = None
-    measure_timing: bool = False
-    warm_start: bool = True
     seed: int = 42
     response_cache: bool = False
     response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE
-    response_cache_ttl_s: float | None = None
     #: Restrict the engine to this subset of the dataset's databases
     #: (``None`` serves all).  Gateway shard workers set it to their
     #: ring-owned ``db_id``s so warmup, mutation listeners, and replica
@@ -220,7 +218,7 @@ class ServeSpan:
 #: ``ResponseCache.stats()`` lifetime key -> metric, folded once at close.
 _SERVE_CACHE_METRICS = {
     name: f"serve_cache_{name}"
-    for name in ("stores", "evictions", "expirations", "invalidations")
+    for name in ("stores", "evictions", "invalidations")
 }
 
 
@@ -332,7 +330,6 @@ class ServingEngine:
         dataset: Dataset,
         config: ServeConfig | None = None,
         methods: dict[str, NL2SQLMethod] | None = None,
-        response_cache: ResponseCache | None = None,
     ) -> None:
         self.dataset = dataset
         self.config = config if config is not None else ServeConfig()
@@ -351,17 +348,11 @@ class ServingEngine:
             self._databases = {
                 db_id: dataset.databases[db_id] for db_id in self.config.db_ids
             }
-        # An injected cache (e.g. one with a LogicalClock for TTL tests)
-        # wins over the config knobs; otherwise build from the config.
-        if response_cache is not None:
-            self.response_cache: ResponseCache | None = response_cache
-        elif self.config.response_cache:
-            self.response_cache = ResponseCache(
-                maxsize=self.config.response_cache_size,
-                ttl_s=self.config.response_cache_ttl_s,
-            )
-        else:
-            self.response_cache = None
+        self.response_cache: ResponseCache | None = (
+            ResponseCache(maxsize=self.config.response_cache_size)
+            if self.config.response_cache
+            else None
+        )
         self._cache_stats_at_start: dict[str, int] = {}
         self._pool_stats_at_start: dict[str, int] = {}
         self.stats = ServeStats()
@@ -372,7 +363,8 @@ class ServingEngine:
         self.request_log: deque[ServeSpan] = deque(
             maxlen=self.config.request_log_size
         )
-        self._evaluator = Evaluator(dataset, measure_timing=self.config.measure_timing)
+        # Untimed, so served records equal untimed offline records.
+        self._evaluator = Evaluator(dataset, measure_timing=False)
         self._methods: dict[str, NL2SQLMethod] = dict(methods or {})
         self._examples = {
             key: example
@@ -394,7 +386,7 @@ class ServingEngine:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ServingEngine":
-        """Warm up (if configured) and begin accepting traffic."""
+        """Warm up and begin accepting traffic."""
         if self._started:
             return self
         if self._closed:
@@ -404,10 +396,7 @@ class ServingEngine:
             # original leak: restarted gateway workers kept dead engines
             # reachable and receiving purges).  Build a fresh engine.
             raise ServeError("engine is closed and cannot be restarted")
-        if self.config.warm_start:
-            self.warmup()
-        else:
-            self._prepare_methods()
+        self.warmup()
         if self.response_cache is not None:
             self._cache_stats_at_start = self.response_cache.stats()
             for database in self._databases.values():
@@ -480,16 +469,6 @@ class ServingEngine:
 
     # -- warm start -----------------------------------------------------
 
-    def _prepare_methods(self) -> None:
-        for name in self.config.methods:
-            if name not in self._methods:
-                method = build_method(name, seed=self.config.seed)
-                if self.config.repair:
-                    method = with_repair(method)
-                method.prepare(self.dataset)
-                self._methods[name] = method
-                self.stats.warmed_methods += 1
-
     def warmup(self) -> None:
         """Prime caches before traffic: methods, gold executions, schemas.
 
@@ -501,7 +480,14 @@ class ServingEngine:
         predictions emit no example spans (no example context is open),
         so traced serving metrics cover only real traffic.
         """
-        self._prepare_methods()
+        for name in self.config.methods:
+            if name not in self._methods:
+                method = build_method(name, seed=self.config.seed)
+                if self.config.repair:
+                    method = with_repair(method)
+                method.prepare(self.dataset)
+                self._methods[name] = method
+                self.stats.warmed_methods += 1
         served = [
             example for example in self.dataset.dev_examples
             if example.db_id in self._databases
@@ -735,13 +721,10 @@ class ServingEngine:
 
     def _run_batch(self, batch: list[_Computation]) -> None:
         # The decode window counts every member request's decoder draws;
-        # each decode still makes its own batched model call, and
-        # candidates stay bit-identical across the batching switch.
+        # each decode still makes its own batched model call.
         with self.decode_scheduler.window(len(batch)) as window:
             for computation in batch:
                 self._run_computation(computation, len(batch))
-        if window is None:
-            return
         with self._lock:
             self.stats.decode_windows += 1
             self.stats.decode_submissions += window.submissions
@@ -846,8 +829,8 @@ class ServingEngine:
         """Response-cache counters (all zero when the cache is disabled)."""
         if self.response_cache is None:
             return {
-                "hits": 0, "misses": 0, "expirations": 0, "evictions": 0,
-                "entries": 0, "invalidations": 0, "stores": 0,
+                "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
+                "invalidations": 0, "stores": 0,
             }
         return self.response_cache.stats()
 

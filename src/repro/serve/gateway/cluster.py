@@ -12,8 +12,9 @@ stale state — :meth:`attach_dataset` bridges parent-side mutation
 listeners across the process boundary.
 
 Workers are deliberately started with the **spawn** context and handed
-the parent's module-global switch state (connection pooling, memo
-caches) in the handshake; nothing is inherited by accident.
+the parent's one module-global switch, the memo switch
+(:func:`~repro.utils.cache.caches_enabled`), as a ``caches`` bool in the
+handshake; nothing is inherited by accident.
 
 Inputs/outputs: a picklable
 :class:`~repro.datagen.benchmark.BenchmarkConfig` +
@@ -34,8 +35,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.datagen.benchmark import BenchmarkConfig, Dataset
-from repro.dbengine.pool import pooling_enabled
-from repro.llm.engine import batching_enabled
 from repro.errors import GatewayError
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
 from repro.obs.registry import MetricsRegistry
@@ -182,11 +181,7 @@ class ShardedGateway:
         if self._closed:
             raise GatewayError("gateway is closed and cannot be restarted")
         context = multiprocessing.get_context("spawn")
-        switches = {
-            "pooling": pooling_enabled(),
-            "caches": caches_enabled(),
-            "batching": batching_enabled(),
-        }
+        caches = caches_enabled()
         for shard_id in range(self.shards):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
@@ -194,7 +189,7 @@ class ShardedGateway:
                 name=f"gateway-shard-{shard_id}",
                 args=(
                     child_conn, shard_id, self.shards, self.ring.vnodes,
-                    self.dataset_config, self.serve_config, switches,
+                    self.dataset_config, self.serve_config, caches,
                 ),
                 daemon=True,
             )

@@ -2,11 +2,12 @@
 
 ``worker_main`` is the spawn target for every gateway shard.  Workers
 are started with the **spawn** context on purpose: nothing module-level
-is inherited from the parent, so process-global switches
-(``repro.dbengine.pool`` pooling, ``repro.utils.cache`` memo caches)
-must arrive explicitly in the handshake — the single-process engine's
-habit of "whatever the module globals happen to say" does not survive
-scale-out, and making propagation explicit is the point.
+is inherited from the parent, so the one process-global switch, the
+``repro.utils.cache`` memo switch, must arrive explicitly as the
+``caches`` bool of the handshake — the single-process engine's habit of
+"whatever the module globals happen to say" does not survive scale-out,
+and making propagation explicit is the point.  The ``ping`` reply
+reports the value the worker applied.
 
 Each worker rebuilds the dataset deterministically from the picklable
 :class:`~repro.datagen.benchmark.BenchmarkConfig` (the same trick the
@@ -33,8 +34,6 @@ import os
 from dataclasses import replace
 
 from repro.datagen.benchmark import BenchmarkConfig, build_benchmark
-from repro.dbengine.pool import pooling_enabled, set_pooling_enabled
-from repro.llm.engine import batching_enabled, set_batching_enabled
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
@@ -53,14 +52,12 @@ def worker_main(
     vnodes: int,
     dataset_config: BenchmarkConfig,
     serve_config: ServeConfig,
-    switches: dict,
+    caches: bool,
 ) -> None:
     """Run one shard worker until a ``shutdown`` message arrives."""
-    # Explicit switch propagation: under spawn these globals reset to
-    # their defaults, so the parent's choices must be re-applied here.
-    set_pooling_enabled(bool(switches.get("pooling", True)))
-    set_caches_enabled(bool(switches.get("caches", True)))
-    set_batching_enabled(bool(switches.get("batching", True)))
+    # Explicit switch propagation: under spawn the memo switch resets to
+    # its default, so the parent's choice must be re-applied here.
+    set_caches_enabled(caches)
     dataset = build_benchmark(dataset_config)
     ring = HashRing(shards, vnodes)
     owned = owned_db_ids(list(dataset.databases), shard_id, ring)
@@ -124,8 +121,6 @@ def _dispatch(message, engine, dataset, tracer, shard_id, owned):
             "shard": shard_id,
             "pid": os.getpid(),
             "db_ids": list(owned),
-            "pooling": pooling_enabled(),
             "caches": caches_enabled(),
-            "batching": batching_enabled(),
         }
     raise ValueError(f"unknown gateway op {op!r}")

@@ -24,9 +24,7 @@ flow through the ordinary span → registry → report → Prometheus path.
 Thread/process safety: a window is installed thread-locally and used by
 the one worker thread running its micro-batch; the scheduler's
 cumulative counters take an internal lock, so one scheduler serves every
-worker thread of an engine.  When batching is globally disabled
-(:func:`repro.llm.engine.batching_disabled`) :meth:`DecodeScheduler.window`
-installs nothing and decoding falls back to sequential per-draw calls.
+worker thread of an engine.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.llm.engine import batching_enabled, decode_window
+from repro.llm.engine import decode_window
 
 
 @dataclass
@@ -79,11 +77,7 @@ class DecodeScheduler:
 
     @contextmanager
     def window(self, batch_size: int = 1):
-        """Ambient decode window for one micro-batch (no-op when batching
-        is globally disabled — decoding then runs sequentially)."""
-        if not batching_enabled():
-            yield None
-            return
+        """Ambient decode window for one micro-batch."""
         active = _DecodeWindow(batch_size)
         try:
             with decode_window(active):

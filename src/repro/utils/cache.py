@@ -4,10 +4,7 @@ Pieces used by the decode/few-shot cache layers and the serving-side
 response cache:
 
 * :class:`LRUCache` — a small, thread-safe, bounded LRU with
-  hit/miss/eviction counters.
-* :class:`TTLCache` — an LRU that additionally expires entries after a
-  time-to-live, measured on a pluggable clock (:class:`LogicalClock`
-  makes TTL expiry deterministic in tests).
+  hit/miss/eviction counters and predicate purges.
 * :func:`per_object_cache` — a registry of LRU caches keyed by the
   *identity* of a host object (a :class:`~repro.dbengine.database.Database`,
   a :class:`~repro.schema.model.DatabaseSchema`), so every consumer of
@@ -16,21 +13,22 @@ response cache:
 * a process-global enable switch — :func:`caches_enabled`,
   :func:`set_caches_enabled`, and the :func:`caches_disabled` context
   manager — that lets equivalence tests (and debugging sessions) run the
-  exact same pipeline with every memo layer bypassed.
+  exact same pipeline with every memo layer bypassed.  It is the
+  program's one runtime switch; process pools and gateway shards
+  receive it as one bool.
 * :func:`gated_lru_cache` — a bounded ``functools.lru_cache`` for pure
   string functions (schema-linking similarity, tokens, identifiers)
   that the same switch bypasses.
 
 The switch gates *lookups and stores*, not correctness: with caches on
 or off the pipeline must produce bit-identical results, which
-``tests/test_perf_caches.py`` asserts end-to-end.
+``tests/test_mode_identity.py`` asserts in every execution mode.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-import time
 import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
@@ -74,6 +72,14 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
+    def purge(self, predicate: Callable[[Hashable], bool]) -> int:
+        """Drop every entry whose key satisfies ``predicate``; returns the count."""
+        with self._lock:
+            doomed = [key for key in self._data if predicate(key)]
+            for key in doomed:
+                del self._data[key]
+            return len(doomed)
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -94,126 +100,6 @@ class LRUCache:
         self.evictions = 0
         self._data = OrderedDict()
         self._lock = threading.Lock()
-
-
-class LogicalClock:
-    """A deterministic, manually-advanced clock for TTL caches in tests.
-
-    Callable like ``time.monotonic``; :meth:`advance` moves time forward
-    by a chosen number of seconds, so TTL expiry is exact and
-    wall-clock-free.  Thread-safe.
-    """
-
-    __slots__ = ("_now", "_lock")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-        self._lock = threading.Lock()
-
-    def __call__(self) -> float:
-        with self._lock:
-            return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Move the clock forward; returns the new time."""
-        if seconds < 0:
-            raise ValueError("time only moves forward")
-        with self._lock:
-            self._now += seconds
-            return self._now
-
-
-class TTLCache:
-    """A bounded, thread-safe LRU whose entries also expire after ``ttl``.
-
-    ``ttl=None`` disables expiry (pure LRU).  ``clock`` defaults to
-    ``time.monotonic``; inject a :class:`LogicalClock` for deterministic
-    expiry in tests.  Expiry is lazy — an entry past its TTL is dropped
-    (and counted under ``expirations``) by the lookup that finds it —
-    matching the semantics of the common ``cachetools.TTLCache``:
-    an entry whose age is ``>= ttl`` is expired.
-    """
-
-    __slots__ = (
-        "maxsize", "ttl", "hits", "misses", "expirations", "evictions",
-        "_clock", "_data", "_lock",
-    )
-
-    def __init__(
-        self,
-        maxsize: int = 1024,
-        ttl: float | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (None disables expiry)")
-        self.maxsize = maxsize
-        self.ttl = ttl
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0
-        self.evictions = 0
-        self._clock = clock if clock is not None else time.monotonic
-        # key -> (value, stamp); insertion/access order is the LRU order.
-        self._data: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _expired(self, stamp: float, now: float) -> bool:
-        return self.ttl is not None and now - stamp >= self.ttl
-
-    def lookup(self, key: Hashable) -> tuple[bool, Any]:
-        """Return ``(hit, value)``; ``value`` is ``None`` on a miss."""
-        with self._lock:
-            entry = self._data.get(key, _MISSING)
-            if entry is _MISSING:
-                self.misses += 1
-                return False, None
-            value, stamp = entry
-            if self._expired(stamp, self._clock()):
-                del self._data[key]
-                self.expirations += 1
-                self.misses += 1
-                return False, None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return True, value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._data[key] = (value, self._clock())
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def purge(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; returns the count."""
-        with self._lock:
-            doomed = [key for key in self._data if predicate(key)]
-            for key in doomed:
-                del self._data[key]
-            return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def stats(self) -> dict[str, int]:
-        """Deterministic counter snapshot (plus the live entry count)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "expirations": self.expirations,
-                "evictions": self.evictions,
-                "entries": len(self._data),
-            }
 
 
 # -- per-object cache registry -------------------------------------------

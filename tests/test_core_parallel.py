@@ -2,7 +2,9 @@
 
 The engine's contract: same :class:`EvaluationRecord` stream as the
 sequential :class:`Evaluator`, in example order, regardless of worker
-count, executor kind, or cache temperature.
+count, executor kind, or cache temperature.  Record identity across
+every execution mode and both cache settings is checked in
+``tests/test_mode_identity.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ def sequential_reports(small_dataset):
 
 
 class TestEquivalence:
-    def test_one_worker_matches_sequential(self, small_dataset, sequential_reports):
-        with ParallelEvaluator(small_dataset, measure_timing=False, jobs=1) as engine:
-            reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == sequential_reports[name].records
-
     def test_thread_pool_matches_sequential(self, small_dataset, sequential_reports):
         with ParallelEvaluator(
             small_dataset, measure_timing=False, jobs=3, executor="thread"

@@ -1,26 +1,23 @@
 """Tests for the per-database read-only connection pool.
 
 Covers the pool mechanics (replica creation, exclusive checkout,
-``data_version`` refresh, closed-pool behaviour), the pooled-vs-legacy
-execution equivalence, and — as a regression for the old shared-
-connection design — a many-thread hammer on ``execute_sql`` asserting
-no cross-call PRAGMA/progress-handler interleaving is observable: the
-master connection stays writable throughout, every concurrent read sees
-a consistent snapshot, and mutating candidates fail identically on both
-paths.
+``data_version`` refresh, closed-pool behaviour), pooled reads compared
+with a read made on the master connection (rows, and the error a write
+gets), and — as a regression for the old shared-connection design — a
+many-thread hammer on ``execute_sql`` asserting no cross-call
+PRAGMA/progress-handler interleaving is observable: the master
+connection stays writable throughout and every concurrent read sees a
+consistent snapshot.
 """
 
+import sqlite3
 import threading
 
 import pytest
 
 from repro.dbengine.database import Database
 from repro.dbengine.executor import execute_sql
-from repro.dbengine.pool import (
-    ReadConnectionPool,
-    pooling_disabled,
-    pooling_enabled,
-)
+from repro.dbengine.pool import ReadConnectionPool
 from repro.errors import ExecutionError
 from tests.conftest import AIRPORT_ROWS, make_toy_schema
 
@@ -81,10 +78,16 @@ class TestReadConnectionPool:
 
     def test_writes_fail_on_replica_like_on_master(self, toy_db):
         pooled = execute_sql(toy_db, "DELETE FROM flights")
-        with pooling_disabled():
-            legacy = execute_sql(toy_db, "DELETE FROM flights")
-        assert not pooled.ok and not legacy.ok
-        assert pooled.error == legacy.error
+        master = toy_db.connection
+        with toy_db.lock:
+            master.execute("PRAGMA query_only = ON")
+            try:
+                with pytest.raises(sqlite3.OperationalError) as on_master:
+                    master.execute("DELETE FROM flights")
+            finally:
+                master.execute("PRAGMA query_only = OFF")
+        assert not pooled.ok
+        assert pooled.error == str(on_master.value)
         assert "readonly" in pooled.error
         assert toy_db.row_count("flights") == 6
 
@@ -116,12 +119,6 @@ class TestReadConnectionPool:
     def test_invalid_size_rejected(self, toy_db):
         with pytest.raises(ValueError):
             ReadConnectionPool(toy_db, size=0)
-
-    def test_pooling_switch_scopes(self):
-        assert pooling_enabled()
-        with pooling_disabled():
-            assert not pooling_enabled()
-        assert pooling_enabled()
 
 
 class TestReplicaRefreshUnderMutation:
@@ -203,10 +200,10 @@ class TestSharedConnectionRaceRegression:
         assert stats["checkouts"] == 2 * self.N_THREADS * self.N_ROUNDS
         assert 1 <= stats["created"] <= toy_db.read_pool().size
 
-    def test_hammer_results_identical_with_pooling_disabled(self, toy_db):
+    def test_pooled_reads_match_a_master_read(self, toy_db):
         sql = "SELECT city, COUNT(*) FROM airports GROUP BY city ORDER BY city"
         pooled = execute_sql(toy_db, sql)
-        with pooling_disabled():
-            legacy = execute_sql(toy_db, sql)
-        assert pooled.ok and pooled.rows == legacy.rows
-        assert pooled.truncated == legacy.truncated
+        with toy_db.lock:
+            master_rows = toy_db.connection.execute(sql).fetchall()
+        assert pooled.ok and not pooled.truncated
+        assert pooled.rows == master_rows

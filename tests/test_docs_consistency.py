@@ -110,6 +110,28 @@ class TestOneBenchmark:
                 assert name not in text, f"{doc.name} names {name}"
 
 
+class TestOneRuntimeSwitch:
+    #: The batching and pooling switches, the response-cache TTL and its
+    #: test clock, and the serving option no caller set; the memo switch
+    #: (``caches_disabled()``) is the one runtime switch left.
+    RETIRED = (
+        "batching_enabled", "batching_disabled", "set_batching_enabled",
+        "pooling_enabled", "pooling_disabled", "set_pooling_enabled",
+        "TTLCache", "LogicalClock", "response_cache_ttl_s", "warm_start",
+        "serve_cache_expirations",
+    )
+
+    def test_no_doc_names_a_retired_switch_or_option(self):
+        docs = [
+            ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+        ]
+        for doc in docs:
+            text = doc.read_text()
+            for name in self.RETIRED:
+                assert name not in text, f"{doc.name} names {name}"
+
+
 class TestPackageMetadata:
     def test_examples_all_have_main(self):
         for example in (ROOT / "examples").glob("*.py"):
@@ -204,18 +226,14 @@ class TestServingDocs:
             "serve_requests", "serve_coalesce_hits", "serve_timeouts",
             "serve_queue_wait_s", "serve_service_s", "serve_latency_s",
             "serve_cache_hits", "serve_cache_misses", "serve_cache_stores",
-            "serve_cache_evictions", "serve_cache_expirations",
-            "serve_cache_invalidations",
+            "serve_cache_evictions", "serve_cache_invalidations",
         ):
             assert f"`{metric}`" in reference, metric
 
     def test_pool_api_is_documented(self):
         import repro.dbengine
         reference = _read("docs/SERVING.md")
-        for symbol in (
-            "ReadConnectionPool", "PoolStats", "DEFAULT_POOL_SIZE",
-            "pooling_enabled", "pooling_disabled", "set_pooling_enabled",
-        ):
+        for symbol in ("ReadConnectionPool", "PoolStats", "DEFAULT_POOL_SIZE"):
             assert hasattr(repro.dbengine, symbol), symbol
             assert f"`{symbol}`" in reference, (
                 f"{symbol} missing from docs/SERVING.md"
@@ -383,22 +401,12 @@ class TestLLMEngineDocs:
         documented = _read("docs/OBSERVABILITY.md") + _read("docs/PIPELINE.md")
         for symbol in (
             "PromptPrefixCache", "PromptSegment", "prefix_cache",
-            "clear_prefix_cache", "batching_disabled", "generate_many",
+            "clear_prefix_cache", "generate_many",
         ):
             assert hasattr(repro.llm, symbol) or symbol == "generate_many", symbol
             assert symbol in documented, (
                 f"{symbol} missing from the pipeline/observability docs"
             )
-
-    def test_batching_switch_mirrors_cache_switch(self):
-        from repro.llm import (
-            batching_disabled, batching_enabled, set_batching_enabled,
-        )
-        assert batching_enabled()
-        with batching_disabled():
-            assert not batching_enabled()
-        assert batching_enabled()
-        assert callable(set_batching_enabled)
 
     def test_decode_scheduler_is_documented(self):
         import repro.serve
@@ -416,6 +424,6 @@ class TestLLMEngineDocs:
     def test_readme_hot_paths_note(self):
         readme = _read("README.md")
         assert "Hot paths" in readme
-        assert "`batching_disabled()`" in readme
+        assert "`caches_disabled()`" in readme
         assert "tests/test_llm_engine.py" in readme
         assert (ROOT / "tests" / "test_llm_engine.py").exists()

@@ -4,9 +4,11 @@ The load-bearing property is bit-exactness: the prompt-prefix cache must
 assemble byte-identical prompts with exact summed token counts (cold,
 warm, and with caches disabled), and the batched decode path
 (``generate_many`` / ``BoundSampler.many`` / the serving decode window)
-must produce candidate streams identical to sequential per-draw
-generation for every decoder and every execution mode, so the batching
-switch can never change results — only wall-clock.
+must produce candidate streams identical to per-draw ``generate`` calls,
+the reference it replaces: for every decoder, and for whole zoo runs
+with ``BoundSampler.many`` patched to the per-draw loop.  Thread and
+process pools are checked here over the four decoder methods; every
+execution mode and both cache settings in ``tests/test_mode_identity.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.core.evaluator import Evaluator
 from repro.core.parallel import ParallelEvaluator
 from repro.llm.decoding import (
     BeamDecoder,
+    BoundSampler,
     GreedyDecoder,
     PicardDecoder,
     SamplingDecoder,
@@ -25,13 +28,10 @@ from repro.llm.decoding import (
 from repro.llm.engine import (
     PromptPrefixCache,
     PromptSegment,
-    batching_disabled,
-    batching_enabled,
     clear_prefix_cache,
     current_decode_window,
     decode_window,
     prefix_cache,
-    set_batching_enabled,
 )
 from repro.llm.model import SimulatedLanguageModel
 from repro.llm.prompt import Prompt
@@ -70,6 +70,17 @@ PROMPT_CONFIGS = [
 # (draw, temperature) pairs exercising every decoder's draw pattern plus
 # the repair engine's high-draw re-draws.
 DRAWS = [(0, 0.0), (1, 0.15), (2, 0.15), (3, 0.5), (4, 0.5), (101, 0.0)]
+
+
+def _per_draw_many(sampler, draws):
+    """The reference batched decoding must match: one ``generate`` per draw."""
+    return [sampler(draw, temperature) for draw, temperature in draws]
+
+
+@pytest.fixture()
+def per_draw_decoding(monkeypatch):
+    """Route every decoder's batch through ``_per_draw_many``."""
+    monkeypatch.setattr(BoundSampler, "many", _per_draw_many)
 
 
 def build_dev_prompts(dataset, config, limit=8):
@@ -174,23 +185,6 @@ class TestPromptTokenCount:
         assert prompt.token_count == 123
 
 
-class TestBatchingSwitch:
-    def test_default_enabled(self):
-        assert batching_enabled()
-
-    def test_context_manager_restores(self):
-        with batching_disabled():
-            assert not batching_enabled()
-        assert batching_enabled()
-
-    def test_setter(self):
-        set_batching_enabled(False)
-        try:
-            assert not batching_enabled()
-        finally:
-            set_batching_enabled(True)
-
-
 class TestGenerateManyEquivalence:
     @pytest.mark.parametrize("profile_name", ["gpt-4", "llama2-7b", "t5-base"])
     def test_batched_matches_sequential(self, small_dataset, profile_name):
@@ -235,7 +229,12 @@ class TestGenerateManyEquivalence:
 
 
 class TestDecoderEquivalence:
-    """Every decoder yields identical candidates batched vs sequential."""
+    """Every decoder yields identical candidates batched vs per draw.
+
+    A plain function is drawn once per call (``_draw_many``), so the
+    same decoder over ``lambda d, t: sampler(d, t)`` is the per-draw
+    reference.
+    """
 
     @pytest.fixture()
     def samplers(self, small_dataset):
@@ -254,17 +253,15 @@ class TestDecoderEquivalence:
     )
     def test_unconstrained_decoders(self, samplers, decoder, small_dataset):
         for sampler, _ in samplers:
-            with batching_disabled():
-                sequential = decoder.decode(sampler)
-            assert decoder.decode(sampler) == sequential
+            per_draw = decoder.decode(lambda d, t: sampler(d, t))
+            assert decoder.decode(sampler) == per_draw
 
     def test_picard_decoder(self, samplers):
         for sampler, database in samplers:
             checker = PicardChecker(database.schema)
             decoder = PicardDecoder(width=4, max_attempts=10)
-            with batching_disabled():
-                sequential = decoder.decode(sampler, checker)
-            assert decoder.decode(sampler, checker) == sequential
+            per_draw = decoder.decode(lambda d, t: sampler(d, t), checker)
+            assert decoder.decode(sampler, checker) == per_draw
 
     def test_plain_function_samplers_still_work(self, small_dataset):
         model = SimulatedLanguageModel(get_profile("gpt-4"), seed=42)
@@ -313,27 +310,29 @@ class TestPicardFallbackTokens:
 
 
 class TestExecutionModeEquivalence:
-    """Sequential, parallel, and served runs agree under either switch."""
+    """Per-draw, thread-pool and process-pool zoo runs equal the batched
+    sequential run."""
 
     @pytest.fixture(scope="class")
     def sequential_reports(self, small_dataset):
         evaluator = Evaluator(small_dataset, measure_timing=False)
         return evaluator.evaluate_zoo([build_method(m) for m in METHODS])
 
-    def test_batching_off_matches_on(self, small_dataset, sequential_reports):
-        with batching_disabled():
-            evaluator = Evaluator(small_dataset, measure_timing=False)
-            reports = evaluator.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == sequential_reports[name].records
+    @pytest.fixture()
+    def per_draw_reports(self, small_dataset, per_draw_decoding):
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        return evaluator.evaluate_zoo([build_method(m) for m in METHODS])
 
-    def test_economy_identical_across_switch(self, small_dataset, sequential_reports):
-        with batching_disabled():
-            evaluator = Evaluator(small_dataset, measure_timing=False)
-            reports = evaluator.evaluate_zoo([build_method(m) for m in METHODS])
+    def test_batching_off_matches_on(self, sequential_reports, per_draw_reports):
+        for name in METHODS:
+            assert per_draw_reports[name].records == sequential_reports[name].records
+
+    def test_economy_identical_across_switch(
+        self, sequential_reports, per_draw_reports
+    ):
         for name in METHODS:
             batched = sequential_reports[name].records
-            unbatched = reports[name].records
+            unbatched = per_draw_reports[name].records
             assert sum(r.input_tokens for r in batched) == (
                 sum(r.input_tokens for r in unbatched)
             )
@@ -361,31 +360,6 @@ class TestExecutionModeEquivalence:
         for name in METHODS:
             assert reports[name].records == sequential_reports[name].records
 
-    def test_serving_matches_sequential(self, small_dataset, sequential_reports):
-        method = "DAILSQL(SC)"
-        expected = {
-            r.example_id: r for r in sequential_reports[method].records
-        }
-        workload = build_workload(
-            small_dataset,
-            WorkloadSpec(
-                requests=24, methods=(method,), distinct_examples=8,
-                zipf_s=1.1, seed=7,
-            ),
-        )
-        served = build_method(method, seed=0)
-        served.prepare(small_dataset)
-        config = ServeConfig(methods=(method,), workers=4, measure_timing=False)
-        responses = {}
-        with ServingEngine(
-            small_dataset, config, methods={method: served}
-        ) as engine:
-            for response in engine.serve(list(workload)):
-                assert response.ok, response.error
-                responses[response.record.example_id] = response.record
-        for example_id, record in responses.items():
-            assert record == expected[example_id]
-
 
 class TestDecodeScheduler:
     class _StubSampler:
@@ -407,14 +381,6 @@ class TestDecodeScheduler:
         assert scheduler.stats.max_submission == 2
         assert scheduler.stats_dict()["draws"] == 2
 
-    def test_window_noop_when_batching_disabled(self):
-        scheduler = DecodeScheduler()
-        with batching_disabled():
-            with scheduler.window(batch_size=2) as window:
-                assert window is None
-                assert current_decode_window() is None
-        assert scheduler.stats.windows == 0
-
     def test_decode_window_nests_and_restores(self):
         outer, inner = object(), object()
         with decode_window(outer):
@@ -435,7 +401,7 @@ class TestDecodeScheduler:
         )
         served = build_method(method, seed=0)
         served.prepare(small_dataset)
-        config = ServeConfig(methods=(method,), workers=2, measure_timing=False)
+        config = ServeConfig(methods=(method,), workers=2)
         with tracing(Tracer()) as tracer:
             with ServingEngine(
                 small_dataset, config, methods={method: served}
@@ -451,26 +417,6 @@ class TestDecodeScheduler:
         assert tracer.metrics.counter_total("serve_decode_draws") == (
             stats.decode_draws
         )
-
-    def test_serving_engine_windows_off_with_batching_disabled(self, small_dataset):
-        method = "BRIDGE v2"
-        served = build_method(method, seed=0)
-        served.prepare(small_dataset)
-        config = ServeConfig(methods=(method,), workers=2, measure_timing=False)
-        request = build_workload(
-            small_dataset,
-            WorkloadSpec(
-                requests=4, methods=(method,), distinct_examples=4,
-                zipf_s=1.1, seed=3,
-            ),
-        )
-        with batching_disabled():
-            with ServingEngine(
-                small_dataset, config, methods={method: served}
-            ) as engine:
-                for response in engine.serve(list(request)):
-                    assert response.ok, response.error
-                assert engine.stats.decode_windows == 0
 
 
 class TestBatchCountersInSpans:
@@ -504,14 +450,13 @@ class TestBatchCountersInSpans:
             assert calls == 1, (span.method, span.example_id)
             assert draws >= 1
 
-    def test_no_batch_counters_when_disabled(self, small_dataset):
+    def test_no_batch_counters_when_disabled(self, small_dataset, per_draw_decoding):
         method = build_method("BRIDGE v2", seed=0)
         method.prepare(small_dataset)
         evaluator = Evaluator(small_dataset, measure_timing=False)
         example = small_dataset.dev_examples[0]
-        with batching_disabled():
-            with tracing(Tracer()) as tracer:
-                evaluator.evaluate_example(method, example)
+        with tracing(Tracer()) as tracer:
+            evaluator.evaluate_example(method, example)
         (span,) = tracer.drain()
         for stage in span.stages:
             assert "llm_batched_calls" not in stage.counters

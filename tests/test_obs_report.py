@@ -259,6 +259,37 @@ class TestRunDeltaMetrics:
             "lru_cache_hits", cache="candidate_exec", **labels
         ) > 0
 
+    def test_read_path_line_prints_the_runs_pool_deltas(self, small_dataset):
+        # build_benchmark already created each database's replica, so a
+        # run's "created" delta is a count of new replicas, not of all.
+        keys = ("checkouts", "created", "refreshes", "waits")
+
+        def totals():
+            stats = [d.pool_stats() for d in small_dataset.databases.values()]
+            return {key: sum(s[key] for s in stats) for key in keys}
+
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        before = totals()
+        with tracing() as tracer:
+            report = evaluator.evaluate_method(build_method(METHODS[0]))
+        after = totals()
+        delta = {key: after[key] - before[key] for key in keys}
+        assert delta["checkouts"] > 0
+        run_report = build_run_report(
+            report.records, evaluator.trace_spans, tracer.metrics,
+            small_dataset.name,
+        )
+        (line,) = [
+            line for line in render_markdown(run_report).splitlines()
+            if line.startswith("- read path:")
+        ]
+        assert line == (
+            f"- read path: {delta['checkouts']} checkouts, "
+            f"{delta['created']} replicas created, "
+            f"{delta['refreshes']} refreshes, "
+            f"{delta['waits']} waits during the run"
+        )
+
 
 class TestServeCacheReporting:
     """serve_cache_* counters surface in the report but never in the

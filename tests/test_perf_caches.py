@@ -3,8 +3,9 @@
 The contract under test: every memo layer added by the hot-path
 optimisation — the few-shot retrieval index, the intent memo, the PICARD
 verdict memo, and the candidate-execution LRU — is a pure optimisation.
-With caches on or off, sequential, thread-parallel, process-parallel,
-and AAS-batch evaluation must produce bit-identical records.
+With caches on or off, AAS-batch evaluation must produce bit-identical
+results; ``tests/test_mode_identity.py`` checks the same for every
+execution mode.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 from repro.core.aas import AASConfig, run_aas
 from repro.core.design_space import SearchSpace
 from repro.core.evaluator import Evaluator
-from repro.core.parallel import ParallelEvaluator
 from repro.dbengine.executor import execute_sql, execute_sql_cached
 from repro.llm.decoding import PicardDecoder
 from repro.llm.model import GenerationCandidate
@@ -26,15 +26,11 @@ from repro.modules.retrieval import FewShotIndex, clear_index_registry, index_fo
 from repro.obs import Tracer, stage_breakdown, tracing
 from repro.sqlkit.picard import PicardChecker
 from repro.utils.cache import (
-    LogicalClock,
     LRUCache,
-    TTLCache,
     caches_disabled,
     caches_enabled,
     per_object_cache,
 )
-
-METHODS = ["DAILSQL", "SuperSQL"]
 
 
 # -- cache primitives -----------------------------------------------------
@@ -81,56 +77,8 @@ class TestLRUCache:
         assert cache.evictions == 2
         assert len(cache) == 2
 
-
-class TestLogicalClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = LogicalClock()
-        assert clock() == 0.0
-        assert clock.advance(1.5) == 1.5
-        assert clock() == 1.5
-
-    def test_rejects_negative_advance(self):
-        clock = LogicalClock(start=10.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-        assert clock() == 10.0
-
-
-class TestTTLCache:
-    def test_no_ttl_behaves_like_lru(self):
-        cache = TTLCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.lookup("a") == (True, 1)
-        cache.put("c", 3)  # evicts "b"
-        assert cache.lookup("b") == (False, None)
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "expirations": 0, "evictions": 1,
-            "entries": 2,
-        }
-
-    def test_deterministic_ttl_expiry(self):
-        clock = LogicalClock()
-        cache = TTLCache(maxsize=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.999)
-        assert cache.lookup("a") == (True, 1)  # age < ttl: live
-        clock.advance(0.001)
-        assert cache.lookup("a") == (False, None)  # age == ttl: expired
-        assert cache.expirations == 1
-        assert len(cache) == 0
-
-    def test_put_refreshes_the_stamp(self):
-        clock = LogicalClock()
-        cache = TTLCache(maxsize=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.0)
-        cache.put("a", 2)  # re-stamped at t=9
-        clock.advance(9.0)
-        assert cache.lookup("a") == (True, 2)
-
     def test_purge_by_predicate(self):
-        cache = TTLCache(maxsize=8)
+        cache = LRUCache(maxsize=8)
         for db, version in [("x", 1), ("x", 2), ("y", 1)]:
             cache.put((db, version), db + str(version))
         removed = cache.purge(lambda key: key[0] == "x" and key[1] < 2)
@@ -138,12 +86,6 @@ class TestTTLCache:
         assert cache.lookup(("x", 1)) == (False, None)
         assert cache.lookup(("x", 2)) == (True, "x2")
         assert cache.lookup(("y", 1)) == (True, "y1")
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            TTLCache(maxsize=0)
-        with pytest.raises(ValueError):
-            TTLCache(maxsize=1, ttl=0.0)
 
 
 # -- few-shot retrieval index --------------------------------------------
@@ -249,7 +191,7 @@ class TestFewShotIndexEquivalence:
         assert ours[:2] == theirs[:2]
 
 
-# -- decoder verdict memo and opt-in dedupe ------------------------------
+# -- decoder verdict memo ------------------------------------------------
 
 
 class _CountingChecker:
@@ -307,17 +249,6 @@ class TestPicardDecoderVerdictMemo:
         assert accepted == reference
         assert [c.sql for c in accepted].count("SELECT * FROM airports") == 3
         assert checker.calls == 2  # one per distinct sql actually drawn
-
-    def test_distinct_opt_in_spends_attempts_on_new_sql(self, toy_schema):
-        checker = _CountingChecker(toy_schema)
-        decoder = PicardDecoder(width=4, max_attempts=5, distinct=True)
-        accepted = decoder.decode(_sampler_over(_DUPLICATE_DRAWS), checker)
-        assert [c.sql for c in accepted] == [
-            "SELECT * FROM airports",
-            "SELECT name FROM airports",
-            "SELECT city FROM airports",
-        ]
-        assert checker.calls == 3  # duplicates skipped, never re-checked
 
     def test_identical_invalid_draws_degenerate_to_fallback(self, toy_schema):
         checker = _CountingChecker(toy_schema)
@@ -397,44 +328,7 @@ class TestExecutorCache:
 # -- end-to-end equivalence ----------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def uncached_reports(small_dataset):
-    with caches_disabled():
-        evaluator = Evaluator(small_dataset, measure_timing=False)
-        return evaluator.evaluate_zoo([build_method(m) for m in METHODS])
-
-
 class TestCacheEquivalence:
-    def test_sequential_records_identical_on_vs_off(
-        self, small_dataset, uncached_reports
-    ):
-        evaluator = Evaluator(small_dataset, measure_timing=False)
-        cached = evaluator.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert cached[name].records == uncached_reports[name].records
-
-    def test_thread_parallel_records_identical_to_uncached(
-        self, small_dataset, uncached_reports
-    ):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=3, executor="thread",
-            chunk_size=2,
-        ) as engine:
-            reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == uncached_reports[name].records
-
-    def test_process_parallel_records_identical_to_uncached(
-        self, small_dataset, uncached_reports
-    ):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=2, executor="process",
-            min_process_work=1,
-        ) as engine:
-            reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == uncached_reports[name].records
-
     def test_aas_batch_identical_on_vs_off(self, small_dataset):
         examples = small_dataset.dev_examples[:10]
         config = AASConfig(population_size=4, generations=2, seed=5)

@@ -1,8 +1,8 @@
 """Tests for the online serving engine (repro.serve).
 
 The load-bearing property is serve/offline equivalence: under any
-schedule — concurrent clients, micro-batching, coalescing on or off,
-connection pooling on or off — every OK response must carry the exact
+schedule — concurrent clients, micro-batching, coalescing on or off —
+every OK response must carry the exact
 :class:`~repro.core.metrics.EvaluationRecord` the offline
 :class:`~repro.core.evaluator.Evaluator` produces for the same
 ``(method, example)``.  The remaining tests pin the deterministic
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.evaluator import Evaluator
 from repro.datagen.benchmark import build_benchmark
-from repro.dbengine.pool import pooling_disabled
 from repro.errors import ServeError, ServeOverloaded, ServeTimeout
 from repro.methods.zoo import build_method
 from repro.obs.trace import tracing
@@ -38,7 +37,6 @@ from repro.serve import (
     build_workload,
     question_index,
 )
-from repro.utils.cache import LogicalClock
 
 from tests.conftest import small_benchmark_config
 
@@ -73,30 +71,20 @@ def offline_records(small_dataset, served_method, workload):
     return records
 
 
-def make_engine(small_dataset, served_method, response_cache=None, **overrides):
-    config = ServeConfig(
-        methods=(METHOD,),
-        workers=4,
-        measure_timing=False,
-        **overrides,
-    )
-    return ServingEngine(
-        small_dataset, config, methods={METHOD: served_method},
-        response_cache=response_cache,
-    )
+def make_engine(small_dataset, served_method, **overrides):
+    config = ServeConfig(methods=(METHOD,), workers=4, **overrides)
+    return ServingEngine(small_dataset, config, methods={METHOD: served_method})
 
 
 class TestServeOfflineEquivalence:
     """Served records are bit-identical to offline ones under any schedule."""
 
     @pytest.mark.parametrize("coalesce", [True, False])
-    @pytest.mark.parametrize("pooled", [True, False])
     def test_concurrent_clients_match_offline(
-        self, small_dataset, served_method, workload, offline_records,
-        coalesce, pooled,
+        self, small_dataset, served_method, workload, offline_records, coalesce
     ):
         clients = 4
-        rng = random.Random(0xC0FFEE + coalesce + 2 * pooled)
+        rng = random.Random(0xC0FFEE + coalesce)
         shuffled = list(workload)
         rng.shuffle(shuffled)
         slices = [shuffled[cid::clients] for cid in range(clients)]
@@ -109,15 +97,14 @@ class TestServeOfflineEquivalence:
                 with lock:
                     responses.append(response)
 
-        with pooling_disabled() if not pooled else _noop():
-            with make_engine(small_dataset, served_method, coalesce=coalesce) as engine:
-                threads = [
-                    threading.Thread(target=client, args=(part,)) for part in slices
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
+        with make_engine(small_dataset, served_method, coalesce=coalesce) as engine:
+            threads = [
+                threading.Thread(target=client, args=(part,)) for part in slices
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         assert len(responses) == len(workload)
         for response in responses:
             assert response.status is ServeStatus.OK, response.error
@@ -181,10 +168,7 @@ class TestMicroBatching:
         requests = [ServeRequest(name, e.db_id, e.question) for name, e in pairs]
         assert len({request.key for request in requests}) == len(requests)
         step = 3
-        config = ServeConfig(
-            methods=tuple(methods), workers=2, measure_timing=False,
-            max_batch_size=step,
-        )
+        config = ServeConfig(methods=tuple(methods), workers=2, max_batch_size=step)
         with ServingEngine(small_dataset, config, methods=methods) as engine:
             responses = engine.serve(requests, submit_paused=True)
         groups = Counter((request.method, request.db_id) for request in requests)
@@ -300,7 +284,7 @@ class TestErrorsAndLifecycle:
             engine.submit(workload[0])
 
     def test_warmup_counts_methods_and_gold(self, small_dataset):
-        config = ServeConfig(methods=(METHOD,), workers=2, measure_timing=False)
+        config = ServeConfig(methods=(METHOD,), workers=2)
         engine = ServingEngine(small_dataset, config)
         with engine:
             assert engine.stats.warmed_methods == 1
@@ -384,9 +368,7 @@ class TestResponseCache:
         self, small_dataset, served_method, workload, offline_records
     ):
         request = workload[0]
-        with make_engine(
-            small_dataset, served_method, response_cache=ResponseCache()
-        ) as engine:
+        with make_engine(small_dataset, served_method, response_cache=True) as engine:
             first = engine.submit(request).response()
             second = engine.submit(request).response()
         assert first.ok and not first.cached
@@ -402,9 +384,7 @@ class TestResponseCache:
     ):
         base = workload[0]
         variant = ServeRequest(base.method, base.db_id, f" {base.question.upper()}  ")
-        with make_engine(
-            small_dataset, served_method, response_cache=ResponseCache()
-        ) as engine:
+        with make_engine(small_dataset, served_method, response_cache=True) as engine:
             cold = engine.submit(base).response()
             warm = engine.submit(variant).response()
         assert not cold.cached and warm.cached
@@ -414,9 +394,7 @@ class TestResponseCache:
     def test_full_workload_equivalence_with_cache_enabled(
         self, small_dataset, served_method, workload, offline_records
     ):
-        with make_engine(
-            small_dataset, served_method, response_cache=ResponseCache()
-        ) as engine:
+        with make_engine(small_dataset, served_method, response_cache=True) as engine:
             responses = engine.serve(list(workload) * 2, submit_paused=False)
         for response in responses:
             assert response.ok
@@ -425,30 +403,11 @@ class TestResponseCache:
             2 * len(workload)
         )
 
-    def test_ttl_expiry_is_deterministic_with_logical_clock(
-        self, small_dataset, served_method, workload
-    ):
-        request = workload[0]
-        clock = LogicalClock()
-        cache = ResponseCache(ttl_s=30.0, clock=clock)
-        with make_engine(
-            small_dataset, served_method, response_cache=cache
-        ) as engine:
-            engine.submit(request).response()
-            clock.advance(29.999)
-            assert engine.submit(request).response().cached
-            clock.advance(0.001)  # entry age reaches the TTL
-            assert not engine.submit(request).response().cached
-        assert cache.stats()["expirations"] == 1
-        assert engine.stats.cache_hits == 1 and engine.stats.cache_misses == 2
-
     def test_expired_deadline_outranks_a_cache_hit(
         self, small_dataset, served_method, workload
     ):
         request = workload[0]
-        with make_engine(
-            small_dataset, served_method, response_cache=ResponseCache()
-        ) as engine:
+        with make_engine(small_dataset, served_method, response_cache=True) as engine:
             assert engine.submit(request).response().ok  # warm the cache
             dead = engine.submit(
                 ServeRequest(request.method, request.db_id, request.question,
@@ -474,7 +433,7 @@ class TestResponseCache:
         request = workload[0]
         with tracing() as tracer:
             with make_engine(
-                small_dataset, served_method, response_cache=ResponseCache()
+                small_dataset, served_method, response_cache=True
             ) as engine:
                 engine.submit(request).response()
                 engine.submit(request).response()
@@ -501,12 +460,9 @@ class TestResponseCacheInvalidation:
         example = private_dataset.dev_examples[0]
         request = ServeRequest(METHOD, example.db_id, example.question)
         database = private_dataset.databases[example.db_id]
-        config = ServeConfig(methods=(METHOD,), workers=2, measure_timing=False)
-        cache = ResponseCache()
-        engine = ServingEngine(
-            private_dataset, config, methods={METHOD: method},
-            response_cache=cache,
-        )
+        config = ServeConfig(methods=(METHOD,), workers=2, response_cache=True)
+        engine = ServingEngine(private_dataset, config, methods={METHOD: method})
+        cache = engine.response_cache
         with engine:
             version_before = database.data_version
             cold = engine.submit(request).response()
@@ -554,12 +510,11 @@ class TestResponseCacheInvalidation:
         affected = [request for request in workload if request.db_id == target]
         affected_keys = {request.key for request in affected}
         assert 0 < len(affected_keys) < len(keys)
-        cache = ResponseCache()
-        config = ServeConfig(methods=(METHOD,), workers=4, measure_timing=False)
+        config = ServeConfig(methods=(METHOD,), workers=4, response_cache=True)
         with ServingEngine(
-            private_dataset, config, methods={METHOD: method},
-            response_cache=cache,
+            private_dataset, config, methods={METHOD: method}
         ) as engine:
+            cache = engine.response_cache
             engine.serve(list(workload), submit_paused=True)  # fill the cache
             assert len(cache) == len(keys)
             hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
@@ -664,19 +619,17 @@ class TestLifecycleListeners:
         yield dataset
         dataset.close()
 
-    def _engine(self, dataset, cache=None):
+    def _engine(self, dataset):
         method = build_method(METHOD, seed=42)
         method.prepare(dataset)
-        config = ServeConfig(methods=(METHOD,), workers=2, measure_timing=False)
-        return ServingEngine(
-            dataset, config, methods={METHOD: method}, response_cache=cache
-        )
+        config = ServeConfig(methods=(METHOD,), workers=2, response_cache=True)
+        return ServingEngine(dataset, config, methods={METHOD: method})
 
     def test_close_unregisters_listeners_and_drops_references(
         self, private_dataset
     ):
-        cache = ResponseCache()
-        engine = self._engine(private_dataset, cache)
+        engine = self._engine(private_dataset)
+        cache = engine.response_cache
         engine.start()
         example = private_dataset.dev_examples[0]
         database = private_dataset.databases[example.db_id]
@@ -695,7 +648,7 @@ class TestLifecycleListeners:
         assert ref() is None
 
     def test_start_after_close_raises_instead_of_leaking(self, private_dataset):
-        engine = self._engine(private_dataset, ResponseCache())
+        engine = self._engine(private_dataset)
         engine.start()
         engine.close()
         # The old behavior re-registered mutation listeners on a
@@ -710,7 +663,7 @@ class TestLifecycleListeners:
     def test_double_close_ingests_cache_deltas_once(self, private_dataset):
         example = private_dataset.dev_examples[0]
         with tracing() as tracer:
-            engine = self._engine(private_dataset, ResponseCache())
+            engine = self._engine(private_dataset)
             engine.start()
             engine.submit(
                 ServeRequest(METHOD, example.db_id, example.question)
@@ -795,10 +748,3 @@ class TestDbIdRestriction:
         with pytest.raises(ServeError):
             make_engine(small_dataset, served_method, db_ids=("no_such_db",))
 
-
-class _noop:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False

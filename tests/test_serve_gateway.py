@@ -7,8 +7,9 @@ offline :class:`~repro.core.evaluator.Evaluator`, the single-process
 :class:`~repro.serve.engine.ServingEngine`, and the gateway at 1, 2,
 and 4 shards — with exact per-shard cache/invalidation counters at
 every layout.  The remaining tests pin the consistent-hash ring, the
-Prometheus merge/render pair, explicit switch propagation across the
-spawn boundary, write/invalidation routing, and the HTTP surface.
+Prometheus merge/render pair, write/invalidation routing, and the HTTP
+surface.  The memo switch's trip across the spawn boundary is checked in
+``tests/test_mode_identity.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import pytest
 
 from repro.core.evaluator import Evaluator
 from repro.datagen.benchmark import build_benchmark
-from repro.dbengine.pool import pooling_disabled
 from repro.errors import GatewayError
-from repro.llm.engine import batching_disabled
 from repro.serve import (
     GatewayHTTPClient,
     GatewayHTTPServer,
@@ -44,7 +43,6 @@ from repro.serve.gateway import (
 )
 from repro.methods.zoo import build_method
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
-from repro.utils.cache import caches_disabled
 
 from tests.conftest import edit_one_row_sql, small_benchmark_config
 
@@ -53,8 +51,7 @@ METHOD = "C3SQL"
 
 def gateway_serve_config(**overrides) -> ServeConfig:
     config = dict(
-        methods=(METHOD,), workers=2, measure_timing=False,
-        response_cache=True, seed=42,
+        methods=(METHOD,), workers=2, response_cache=True, seed=42,
     )
     config.update(overrides)
     return ServeConfig(**config)
@@ -340,30 +337,6 @@ class TestCrossTopologyEquivalence:
             assert entry["engine"]["spans_dropped"] == max(
                 0, submitted - config.request_log_size
             )
-
-
-class TestSwitchPropagation:
-    """Module-global switches cross the spawn boundary explicitly."""
-
-    def test_disabled_switches_reach_workers(self):
-        with pooling_disabled(), caches_disabled(), batching_disabled():
-            with ShardedGateway(
-                small_benchmark_config(), gateway_serve_config(), shards=1
-            ) as gateway:
-                health = gateway.healthz()
-        assert health["status"] == "ok"
-        (entry,) = health["shards"]
-        assert entry["pooling"] is False
-        assert entry["caches"] is False
-        assert entry["batching"] is False
-
-    def test_default_switches_reach_workers(self, gateway):
-        health = gateway.healthz()
-        assert health["status"] == "ok"
-        for entry in health["shards"]:
-            assert entry["pooling"] is True
-            assert entry["caches"] is True
-            assert entry["batching"] is True
 
 
 class TestMutationPropagation:

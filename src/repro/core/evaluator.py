@@ -27,8 +27,9 @@ Inputs/outputs: a :class:`~repro.datagen.benchmark.Dataset` plus methods
 in, :class:`~repro.core.metrics.MethodReport` record streams out.
 
 Thread/process safety: concurrent ``evaluate_example`` calls from
-multiple threads are safe (database access is lock-guarded, cache-dict
-updates are atomic under the GIL, span state is thread-local);
+multiple threads — the serving engine's workers make them — are safe
+(database access is lock-guarded, cache-dict updates are atomic under
+the GIL, span state is thread-local);
 ``evaluate_method`` / ``evaluate_zoo`` are coordinator-only.  Instances
 do not cross process boundaries — the parallel engine rebuilds one
 evaluator per worker.
@@ -62,8 +63,8 @@ from repro.utils.cache import lru_cache_stats
 from repro.sqlkit.exact_match import exact_match
 from repro.sqlkit.features import SQLFeatures, extract_features
 
-# (db_id, data_version, gold_sql) -> (result, seconds); shared between the
-# sequential evaluator and the parallel engine's one-pass gold precompute.
+# (db_id, data_version, gold_sql) -> (result, seconds); the parallel engine
+# ships entries from its one-pass gold precompute to its workers.
 GoldCache = dict[str, tuple[ExecutionResult, float]]
 
 # lru_cache_stats() entry key -> metric name.
@@ -90,19 +91,13 @@ class Evaluator:
         log_store: ExperimentLogStore | None = None,
         timing_repeats: int = 1,
         measure_timing: bool = True,
-        gold_cache: GoldCache | None = None,
-        feature_cache: dict[str, SQLFeatures] | None = None,
     ) -> None:
         self.dataset = dataset
         self.log_store = log_store
         self.timing_repeats = timing_repeats
         self.measure_timing = measure_timing
-        # Caches may be injected so several evaluators (e.g. the parallel
-        # engine's local path and its workers) share one set of results.
-        self._gold_cache: GoldCache = gold_cache if gold_cache is not None else {}
-        self._feature_cache: dict[str, SQLFeatures] = (
-            feature_cache if feature_cache is not None else {}
-        )
+        self._gold_cache: GoldCache = {}
+        self._feature_cache: dict[str, SQLFeatures] = {}
         # Spans drained from the ambient tracer, one batch per
         # evaluate_method call; empty while tracing is disabled.
         self.trace_spans: list[ExampleSpan] = []
@@ -127,7 +122,7 @@ class Evaluator:
         """One-pass gold precompute: run each distinct (db_id, gold_sql) once.
 
         Shares the timed results with every method evaluated afterwards
-        (and, via the injected ``gold_cache``, with parallel workers).
+        (and, shipped with each chunk, with process-pool workers).
         Returns the number of fresh executions performed.
         """
         fresh = 0

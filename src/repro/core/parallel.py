@@ -1,28 +1,36 @@
-"""Parallel evaluation engine: worker pools, gold precompute, result cache.
+"""Parallel evaluation engine: process pool, gold precompute, result cache.
 
 Every artifact in the reproduction — the 20-method zoo tables, the
 multi-angle figures, the NL2SQL360-AAS genetic search — funnels through
-``Evaluator``'s per-example loop.  :class:`ParallelEvaluator` keeps that
-loop's semantics (same :class:`EvaluationRecord` stream, in example
-order) while removing the wall-clock bottlenecks:
+``Evaluator``'s per-example loop.  :class:`ParallelEvaluator` is that
+evaluator with ``evaluate_method`` overridden: the same
+:class:`EvaluationRecord` stream, in example order, with the wall-clock
+bottlenecks removed:
 
-1. **Worker pools.**  Examples are sharded in contiguous chunks across a
-   :class:`~concurrent.futures.ProcessPoolExecutor`.  ``sqlite3``
-   connections are not picklable, so each worker's initializer rebuilds
-   the dataset deterministically from its :class:`BenchmarkConfig` (the
-   build is seeded, so workers own byte-identical databases).  Small
-   runs, or datasets without a build recipe, fall back to a thread pool
-   over the live dataset (``Database`` connections are lock-guarded).
+1. **Process pool.**  With ``jobs > 1``, a batch of at least
+   ``_PROCESS_MIN_WORK`` pending examples is sharded in contiguous
+   chunks across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+   ``sqlite3`` connections are not picklable, so each worker's
+   initializer rebuilds the dataset deterministically from
+   ``dataset.config`` (the build is seeded, so workers own
+   byte-identical databases).  Everything else runs in-process:
+   smaller batches, methods a worker cannot rebuild (see
+   :meth:`MethodSpec.from_method`), ``prepare=False`` calls, and
+   datasets written to since they were built
+   (:meth:`~repro.datagen.benchmark.Dataset.as_built` is false), whose
+   rows a rebuild would not reproduce.
 2. **Gold-execution precompute.**  Each distinct (db_id, gold_sql) pair
    is executed exactly once per dataset — in the coordinating process —
    and the timed result is shared with every method and every worker,
    instead of being re-executed per evaluator instance.
 3. **Cross-run result cache.**  Finished records are persisted in the
    :class:`~repro.core.logs.ExperimentLogStore` under a stable
-   fingerprint of (method config + seed, dataset identity, timing
+   fingerprint of (method config + seed, dataset build recipe, timing
    settings), so repeated evaluations — re-runs of the benchmark suite,
    repeated genotypes across AAS generations, even across process
-   restarts — skip prediction and execution entirely.
+   restarts — skip prediction and execution entirely.  The recipe
+   identifies the rows only while the dataset is as built, so a written
+   or hand-assembled dataset bypasses the cache.
 
 Determinism: prediction randomness flows through keyed RNG streams
 (:func:`repro.utils.rng.derive_rng`), which are independent of call
@@ -30,26 +38,24 @@ order, so sharding does not change results.  With ``measure_timing``
 off, parallel output is bit-identical to the sequential evaluator's.
 The hot-path memo layers (few-shot index, intent memo, PICARD verdict
 memo, candidate-execution LRU, schema-linking string memos — see
-``repro.utils.cache``) are adopted
-transparently: thread workers share the coordinator's process-level
-memos, process workers rebuild them lazily via each method's
-``prepare`` (the few-shot index registry is keyed by corpus content),
-and every layer returns bit-identical values to the uncached path, so
-sharding with caches on still reproduces the sequential record stream.
+``repro.utils.cache``) are adopted transparently: process workers
+rebuild them lazily via each method's ``prepare`` (the few-shot index
+registry is keyed by corpus content), and every layer returns
+bit-identical values to the uncached path, so sharding with caches on
+still reproduces the sequential record stream.
 
-Observability: when the coordinator's ambient tracer is enabled, thread
-workers trace through the shared (thread-safe) tracer directly, process
-workers install their own tracer and ship finished spans back with each
-record batch, and examples served by the result cache get synthetic
-``cache_hit`` spans — so a parallel run drains the same deterministic
-span stream as a sequential one (modulo timings).
+Observability: when the coordinator's ambient tracer is enabled,
+process workers install their own tracer and ship finished spans back
+with each record batch, and examples served by the result cache get
+synthetic ``cache_hit`` spans — so a parallel run drains the same
+deterministic span stream as a sequential one (modulo timings).
 
 Inputs/outputs: same as :class:`~repro.core.evaluator.Evaluator` —
 datasets and methods in, :class:`MethodReport` streams out, plus
 ``stats`` counters and drained ``trace_spans``.
 
 Thread/process safety: the coordinator object itself is single-threaded;
-it owns the pools.  Worker-side state lives in the per-process
+it owns the pool.  Worker-side state lives in the per-process
 ``_WORKER`` dict and never crosses back except as picklable records and
 spans.
 """
@@ -57,7 +63,7 @@ spans.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.evaluator import Evaluator, GoldCache, gold_key
@@ -67,15 +73,13 @@ from repro.core.taxonomy import classify_failure
 from repro.datagen.benchmark import BenchmarkConfig, Dataset, Example, build_benchmark
 from repro.methods.base import MethodGroup, NL2SQLMethod, PipelineMethod
 from repro.modules.base import PipelineConfig
-from repro.obs.registry import MetricsRegistry
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
 from repro.obs.trace import ExampleSpan, Tracer, get_tracer, set_tracer
-from repro.sqlkit.features import SQLFeatures
 from repro.utils.rng import stable_hash
 
 # Below this many pending examples a process pool is not worth its
-# worker-initialization cost (each worker rebuilds the dataset); use the
-# thread fallback instead.
+# worker-initialization cost (each worker rebuilds the dataset); such
+# batches run in-process.
 _PROCESS_MIN_WORK = 32
 
 
@@ -106,7 +110,7 @@ class EvalStats:
     predictions: int = 0        # examples that ran a method's predict()
     cache_hits: int = 0         # examples served by the cross-run cache
     gold_executions: int = 0    # distinct gold queries executed (precompute)
-    parallel_tasks: int = 0     # chunks dispatched to a pool
+    parallel_tasks: int = 0     # chunks dispatched to the process pool
     fresh_by_method: dict[str, int] = field(default_factory=dict)
 
 
@@ -118,8 +122,10 @@ def result_fingerprint(
 ) -> str:
     """Stable cache fingerprint for (method config, dataset, timing knobs).
 
-    Timing settings are part of the key because they change record
-    contents (``gold_seconds`` / ``predicted_seconds``).
+    The dataset part is its build recipe, so the key identifies the
+    records only while ``dataset.as_built()`` holds.  Timing settings are
+    part of the key because they change record contents
+    (``gold_seconds`` / ``predicted_seconds``).
     """
     config = getattr(method, "config", None)
     config_id = repr(config) if config is not None else f"adhoc:{method.name}"
@@ -138,7 +144,7 @@ _WORKER: dict = {}
 
 
 def _worker_init(
-    benchmark_config: BenchmarkConfig,
+    config: BenchmarkConfig,
     measure_timing: bool,
     timing_repeats: int,
     trace_enabled: bool = False,
@@ -148,7 +154,7 @@ def _worker_init(
     # switch to its default, so the coordinator's choice is re-applied
     # (fork inherits it, harmlessly re-applied).
     set_caches_enabled(caches)
-    dataset = build_benchmark(benchmark_config)
+    dataset = build_benchmark(config)
     _WORKER["dataset"] = dataset
     _WORKER["evaluator"] = Evaluator(
         dataset, measure_timing=measure_timing, timing_repeats=timing_repeats
@@ -185,26 +191,22 @@ def _worker_evaluate(
 # -- coordinator side --------------------------------------------------------
 
 
-class ParallelEvaluator:
-    """Drop-in parallel replacement for :class:`Evaluator`.
+class ParallelEvaluator(Evaluator):
+    """:class:`Evaluator` whose ``evaluate_method`` adds the cross-run
+    result cache and the process pool.
 
-    API-compatible with ``Evaluator.evaluate_method`` / ``evaluate_zoo``;
-    results are identical to the sequential path (bit-identical when
+    Records are identical to the sequential path (bit-identical when
     ``measure_timing`` is off — wall-clock timings are inherently
-    run-dependent either way).
+    run-dependent either way); ``evaluate_example``, ``evaluate_zoo`` and
+    the gold precompute are the base class's.
 
     Parameters beyond ``Evaluator``'s:
 
     * ``jobs`` — worker count (default: CPU count).  ``jobs <= 1`` keeps
       everything in-process but still gets the gold precompute and the
       result cache.
-    * ``benchmark_config`` — build recipe for worker-side dataset
-      rebuilds; defaults to ``dataset.config`` (set by
-      :func:`build_benchmark`).
     * ``use_result_cache`` — persist/reuse finished records in the
       ``log_store`` (requires one).
-    * ``executor`` — ``"auto"`` (process pool for large runs, threads for
-      small ones), ``"process"``, or ``"thread"``.
     """
 
     def __init__(
@@ -214,46 +216,12 @@ class ParallelEvaluator:
         timing_repeats: int = 1,
         measure_timing: bool = True,
         jobs: int | None = None,
-        benchmark_config: BenchmarkConfig | None = None,
         use_result_cache: bool = True,
-        executor: str = "auto",
-        min_process_work: int = _PROCESS_MIN_WORK,
-        chunk_size: int | None = None,
     ) -> None:
-        if executor not in ("auto", "process", "thread"):
-            raise ValueError(f"unknown executor kind {executor!r}")
-        self.dataset = dataset
-        self.log_store = log_store
-        self.timing_repeats = timing_repeats
-        self.measure_timing = measure_timing
+        super().__init__(dataset, log_store, timing_repeats, measure_timing)
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.benchmark_config = (
-            benchmark_config
-            if benchmark_config is not None
-            else getattr(dataset, "config", None)
-        )
         self.use_result_cache = use_result_cache and log_store is not None
-        self.executor = executor
-        self.min_process_work = min_process_work
-        self.chunk_size = chunk_size
         self.stats = EvalStats()
-        self.last_run_fresh = 0
-        # Spans drained from the ambient tracer (workers included), one
-        # batch per evaluate_method call; empty while tracing is disabled.
-        self.trace_spans: list[ExampleSpan] = []
-        self._feature_cache: dict[str, SQLFeatures] = {}
-        self._gold_cache: GoldCache = {}
-        # The local evaluator shares both caches with this engine; it owns
-        # the gold precompute and the small-run / non-picklable fallback.
-        # It never logs: the engine stores records itself, exactly once.
-        self._local = Evaluator(
-            dataset,
-            log_store=None,
-            timing_repeats=timing_repeats,
-            measure_timing=measure_timing,
-            gold_cache=self._gold_cache,
-            feature_cache=self._feature_cache,
-        )
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -278,7 +246,7 @@ class ParallelEvaluator:
                 # Tracing state is captured at pool creation: toggle the
                 # ambient tracer before the first parallel evaluate call.
                 initargs=(
-                    self.benchmark_config,
+                    self.dataset.config,
                     self.measure_timing,
                     self.timing_repeats,
                     get_tracer().enabled,
@@ -287,38 +255,17 @@ class ParallelEvaluator:
             )
         return self._pool
 
-    # -- planning -------------------------------------------------------
-
-    def _pick_executor(self, spec: MethodSpec | None, pending: int, prepare: bool) -> str:
-        """Choose local / thread / process for this batch of work."""
-        if self.jobs <= 1 or pending <= 1:
-            return "local"
-        process_ok = (
-            spec is not None and self.benchmark_config is not None and prepare
-        )
-        if self.executor == "process":
-            return "process" if process_ok else "thread"
-        if self.executor == "thread":
-            return "thread"
-        if process_ok and pending >= self.min_process_work:
-            return "process"
-        return "thread"
-
-    def _chunks(self, examples: list[Example]) -> list[list[Example]]:
-        size = self.chunk_size
-        if size is None:
-            # Aim for a few chunks per worker so stragglers rebalance.
-            size = max(1, -(-len(examples) // (self.jobs * 4)))
-        return [examples[i : i + size] for i in range(0, len(examples), size)]
-
     # -- evaluation -----------------------------------------------------
 
     def _evaluate_process(
         self, spec: MethodSpec, pending: list[Example]
     ) -> list[EvaluationRecord]:
         pool = self._process_pool()
+        # Aim for a few chunks per worker so stragglers rebalance.
+        size = -(-len(pending) // (self.jobs * 4))
         futures: list[Future] = []
-        for chunk in self._chunks(pending):
+        for start in range(0, len(pending), size):
+            chunk = pending[start : start + size]
             # Ship the chunk's precomputed gold results along with the
             # task: any worker can serve any chunk without re-execution.
             # Gold keys carry the coordinator's data_version, which the
@@ -338,22 +285,6 @@ class ParallelEvaluator:
             trace.add_spans(chunk_spans)
         return records
 
-    def _evaluate_threads(
-        self, method: NL2SQLMethod, pending: list[Example]
-    ) -> list[EvaluationRecord]:
-        def run_chunk(chunk: list[Example]) -> list[EvaluationRecord]:
-            return [self._local.evaluate_example(method, e) for e in chunk]
-
-        chunks = self._chunks(pending)
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
-            self.stats.parallel_tasks += len(chunks)
-            return [record for future in futures for record in future.result()]
-
-    def evaluate_example(self, method: NL2SQLMethod, example: Example) -> EvaluationRecord:
-        """Score one example in-process (same semantics as ``Evaluator``)."""
-        return self._local.evaluate_example(method, example)
-
     def evaluate_method(
         self,
         method: NL2SQLMethod,
@@ -367,10 +298,14 @@ class ParallelEvaluator:
         # the collected metrics carry only this run's deltas (coordinator
         # process only; worker-process memos stay worker-local).
         lru_before = lru_cache_stats()
-        pool_before = self._local.pool_totals()
+        pool_before = self.pool_totals()
+        spec = MethodSpec.from_method(method)
+        # Pool workers rebuild the dataset from its recipe and the result
+        # cache keys on that recipe: neither sees a write since the build.
+        as_built = self.dataset.as_built()
         cached: dict[str, EvaluationRecord] = {}
         fingerprint: str | None = None
-        if self.use_result_cache and MethodSpec.from_method(method) is not None:
+        if self.use_result_cache and spec is not None and as_built:
             fingerprint = result_fingerprint(
                 method, self.dataset, self.measure_timing, self.timing_repeats
             )
@@ -378,27 +313,25 @@ class ParallelEvaluator:
 
         pending = [e for e in examples if e.example_id not in cached]
         self.stats.cache_hits += len(examples) - len(pending)
-        self.last_run_fresh = len(pending)
         self.stats.fresh_by_method[method.name] = len(pending)
 
         fresh: dict[str, EvaluationRecord] = {}
         fresh_gold = 0
         if pending:
-            fresh_gold = self._local.precompute_gold(pending)
+            fresh_gold = self.precompute_gold(pending)
             self.stats.gold_executions += fresh_gold
-            spec = MethodSpec.from_method(method)
-            mode = self._pick_executor(spec, len(pending), prepare)
-            if mode == "process":
+            if (
+                self.jobs > 1
+                and len(pending) >= _PROCESS_MIN_WORK
+                and spec is not None
+                and prepare
+                and as_built
+            ):
                 records = self._evaluate_process(spec, pending)
             else:
                 if prepare:
                     method.prepare(self.dataset)
-                if mode == "thread":
-                    records = self._evaluate_threads(method, pending)
-                else:
-                    records = [
-                        self._local.evaluate_example(method, e) for e in pending
-                    ]
+                records = [self.evaluate_example(method, e) for e in pending]
             self.stats.predictions += len(pending)
             fresh = {record.example_id: record for record in records}
 
@@ -407,8 +340,9 @@ class ParallelEvaluator:
             cached[e.example_id] if e.example_id in cached else fresh[e.example_id]
             for e in examples
         ]
-        spans, registry = self._collect_observability(
-            method.name, report.records, cached, fresh_gold, lru_before, pool_before
+        self._trace_cache_hits(report.records, cached)
+        spans, registry = self.collect_observability(
+            method.name, report.records, fresh_gold, lru_before, pool_before, cached
         )
         self.trace_spans.extend(spans)
         if fingerprint is not None and fresh:
@@ -420,56 +354,32 @@ class ParallelEvaluator:
                 self.log_store.store_metrics(run_id, registry)
         return report
 
-    def _collect_observability(
-        self,
-        method_name: str,
-        records: list[EvaluationRecord],
-        cached: dict[str, EvaluationRecord],
-        fresh_gold: int,
-        lru_before: dict[str, dict[str, int]],
-        pool_before: dict[str, int],
-    ) -> tuple[list[ExampleSpan], MetricsRegistry | None]:
-        """Synthesize the cache-hit spans, then drain and count the run
-        as the sequential evaluator does."""
-        trace = get_tracer()
-        if trace.enabled:
-            # Examples served by the cross-run cache never ran the
-            # pipeline, so they get synthetic stage-less spans; the
-            # failure tag is re-derived from the record's deterministic
-            # fields (corruption tags are not persisted, so attribution
-            # is coarser here).
-            trace.add_spans([
-                ExampleSpan(
-                    method=record.method,
-                    example_id=record.example_id,
-                    cache_hit=True,
-                    input_tokens=record.input_tokens,
-                    output_tokens=record.output_tokens,
-                    cost_usd=record.cost_usd,
-                    failure=classify_failure(
-                        ex=record.ex,
-                        truncated=record.gold_truncated or record.predicted_truncated,
-                    ),
-                )
-                for record in records
-                if record.example_id in cached
-            ])
-        return self._local.collect_observability(
-            method_name, records, fresh_gold, lru_before, pool_before, cached
-        )
+    def _trace_cache_hits(
+        self, records: list[EvaluationRecord], cached: dict[str, EvaluationRecord]
+    ) -> None:
+        """Give the examples the result cache served synthetic spans.
 
-    def evaluate_zoo(
-        self,
-        methods: list[NL2SQLMethod],
-        examples: list[Example] | None = None,
-        split: str = "dev",
-    ) -> dict[str, MethodReport]:
-        """Evaluate several methods; returns name -> report.
-
-        The worker pool persists across methods, so each worker prepares a
-        method at most once and the gold precompute is shared by all.
+        They never ran the pipeline, so their spans are stage-less; the
+        failure tag is re-derived from the record's deterministic fields
+        (corruption tags are not persisted, so attribution is coarser
+        here).
         """
-        return {
-            method.name: self.evaluate_method(method, examples=examples, split=split)
-            for method in methods
-        }
+        trace = get_tracer()
+        if not trace.enabled:
+            return
+        trace.add_spans([
+            ExampleSpan(
+                method=record.method,
+                example_id=record.example_id,
+                cache_hit=True,
+                input_tokens=record.input_tokens,
+                output_tokens=record.output_tokens,
+                cost_usd=record.cost_usd,
+                failure=classify_failure(
+                    ex=record.ex,
+                    truncated=record.gold_truncated or record.predicted_truncated,
+                ),
+            )
+            for record in records
+            if record.example_id in cached
+        ])

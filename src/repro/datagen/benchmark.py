@@ -113,23 +113,34 @@ class Dataset:
     # Parallel evaluation workers use it to rebuild the dataset in-process,
     # since live sqlite3 connections cannot cross a process boundary.
     config: "BenchmarkConfig | None" = None
+    # Each database's data_version when build_benchmark returned (set only
+    # there); a later write bumps the live version past it.
+    built_versions: dict[str, int] = field(default_factory=dict)
+
+    def as_built(self) -> bool:
+        """True while ``config`` rebuilds exactly this dataset's content.
+
+        That holds from ``build_benchmark`` until the first write to any
+        database (``Database.apply_write``, ``mark_mutated``).  Process-pool
+        workers rebuild from ``config`` and the result cache keys on it, so
+        both require it.
+        """
+        return self.config is not None and self.built_versions == {
+            db_id: database.data_version for db_id, database in self.databases.items()
+        }
 
     def fingerprint(self) -> str:
-        """Stable identity of this dataset's contents across processes.
+        """Stable identity of this dataset's build recipe across processes.
 
-        Built datasets hash their full build recipe (name, seed, scale-derived
-        counts, shape weights); hand-assembled datasets fall back to hashing
-        the example stream itself.
+        Hashes the full recipe (name, seed, scale-derived counts, shape
+        weights); it identifies the content only while :meth:`as_built`
+        holds.
         """
         from repro.utils.rng import stable_hash
 
-        if self.config is not None:
-            return f"{stable_hash('benchmark-config', repr(self.config)):016x}"
-        content = [
-            (e.example_id, e.db_id, e.gold_sql, e.question, e.split)
-            for e in self.examples
-        ]
-        return f"{stable_hash('dataset-content', self.name, content):016x}"
+        if self.config is None:
+            raise DataGenerationError(f"dataset {self.name!r} has no build recipe")
+        return f"{stable_hash('benchmark-config', repr(self.config)):016x}"
 
     def database(self, db_id: str) -> Database:
         try:
@@ -390,4 +401,7 @@ def build_benchmark(config: BenchmarkConfig) -> Dataset:
             )
     if not dataset.examples:
         raise DataGenerationError(f"benchmark {config.name!r} produced no examples")
+    dataset.built_versions = {
+        db_id: database.data_version for db_id, database in dataset.databases.items()
+    }
     return dataset

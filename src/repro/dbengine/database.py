@@ -27,7 +27,7 @@ class Database:
     def __init__(self, schema: DatabaseSchema, path: str | Path | None = None) -> None:
         self.schema = schema
         self._path = str(path) if path is not None else ":memory:"
-        # check_same_thread=False lets the parallel evaluator's thread pool
+        # check_same_thread=False lets the serving engine's worker threads
         # share this connection; the lock serializes access.  Direct
         # writers must call mark_mutated themselves.
         self.connection = sqlite3.connect(self._path, check_same_thread=False)

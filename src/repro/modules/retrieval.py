@@ -28,7 +28,7 @@ brute-force selector (asserted against randomized corpora in
 
 Indexes are obtained through :func:`index_for`, a small process-level
 registry keyed by a stable hash of the corpus so identical train splits
-(across methods, or across evaluator instances in thread workers) share
+(across methods, or across evaluator instances in one process) share
 one index and one memo.  Process workers rebuild the registry lazily on
 first use; pickling an index reduces to its pair list and rebuilds
 deterministically on the other side.

@@ -22,10 +22,11 @@ configuration yield identical merged span trees modulo timings.
 
 Thread/process safety: one ``Tracer`` may be shared by many threads —
 open-span state is thread-local and the finished-span list is
-lock-guarded, so a thread-pool evaluation interleaves safely.  Tracers
-do not cross process boundaries: each worker process installs its own
-tracer and ships finished spans back pickled (plain dataclasses); the
-coordinator re-injects them with :meth:`Tracer.add_spans`.  The disabled
+lock-guarded, so the serving engine's worker threads interleave safely.
+Tracers do not cross process boundaries: each worker process installs
+its own tracer and ships finished spans back pickled (plain
+dataclasses); the coordinator re-injects them with
+:meth:`Tracer.add_spans`.  The disabled
 :class:`NullTracer` (the default ambient tracer) reduces every hook to a
 shared no-op context manager, so tracing costs ~nothing when off.
 """

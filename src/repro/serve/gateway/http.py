@@ -8,7 +8,7 @@ background thread in front of a started
   "deadline_s"?}`` in, the canonical
   :func:`~repro.serve.gateway.wire.response_to_dict` envelope out
   (typed ``ok`` / ``timeout`` / ``rejected`` / ``error`` statuses, never
-  a hang).
+  a hang).  Malformed input gets HTTP 400 and never reaches a shard.
 * ``GET /healthz`` — liveness JSON; HTTP 200 when every shard answers,
   503 when degraded.
 * ``GET /metrics`` — the merged shard + parent metric state in
@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import sys
 import threading
 
 from repro.errors import GatewayError
@@ -61,6 +62,28 @@ def _http_response(
 
 def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _parse_query(body: bytes) -> tuple[str, str, str, float | None]:
+    """``(method, db_id, question, deadline_s)`` of a ``/query`` body;
+    raises ``ValueError`` (JSON and UTF-8 errors included) naming the
+    first malformed field."""
+    request = json.loads(body.decode("utf-8") or "{}")
+    if not isinstance(request, dict):
+        raise ValueError("body must be a JSON object")
+    for name in ("method", "db_id", "question"):
+        if not isinstance(request.get(name), str):
+            raise ValueError(f"{name!r} must be a string")
+    deadline_s = request.get("deadline_s")
+    # abs() <= max is false for NaN, the infinities and ints too large for
+    # the float the shard's deadline arithmetic makes of them.
+    if deadline_s is not None and (
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or not abs(deadline_s) <= sys.float_info.max
+    ):
+        raise ValueError("'deadline_s' must be a finite number or null")
+    return request["method"], request["db_id"], request["question"], deadline_s
 
 
 class GatewayHTTPServer:
@@ -159,10 +182,14 @@ class GatewayHTTPServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
-                if length > _MAX_BODY_BYTES:
+                # The body's end is unknown after a bad length, so these
+                # replies close the connection.
+                raw_length = headers.get("content-length", "0") or "0"
+                length = int(raw_length) if raw_length.isdecimal() else -1
+                if not 0 <= length <= _MAX_BODY_BYTES:
+                    error = "body too large" if length > 0 else "bad Content-Length"
                     writer.write(_http_response(
-                        400, _json_bytes({"error": "body too large"}),
+                        400, _json_bytes({"error": error}),
                         "application/json", keep_alive=False,
                     ))
                     await writer.drain()
@@ -190,12 +217,8 @@ class GatewayHTTPServer:
         path = target.split("?", 1)[0]
         if method == "POST" and path == "/query":
             try:
-                request = json.loads(body.decode("utf-8") or "{}")
-                name = request["method"]
-                db_id = request["db_id"]
-                question = request["question"]
-                deadline_s = request.get("deadline_s")
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:
+                name, db_id, question, deadline_s = _parse_query(body)
+            except ValueError as exc:
                 return (
                     400,
                     _json_bytes({"error": f"bad /query body: {exc}"}),

@@ -84,20 +84,26 @@ def small_benchmark_config(seed: int = 42) -> BenchmarkConfig:
     )
 
 
-def mutable_text_column(schema: DatabaseSchema) -> tuple[str, str]:
-    """A (table, column) safe to rewrite in place: TEXT, non-key, non-FK."""
+def value_columns(schema: DatabaseSchema) -> list[tuple[str, Column]]:
+    """Every (table name, column) safe to rewrite in place: non-key, non-FK."""
     fk_columns = set()
     for fk in schema.foreign_keys:
         fk_columns.add((fk.source_table.lower(), fk.source_column.lower()))
         fk_columns.add((fk.target_table.lower(), fk.target_column.lower()))
-    for table in schema.tables:
-        for column in table.columns:
-            if (
-                column.col_type is ColumnType.TEXT
-                and not column.is_primary_key
-                and (table.name.lower(), column.name.lower()) not in fk_columns
-            ):
-                return table.name, column.name
+    return [
+        (table.name, column)
+        for table in schema.tables
+        for column in table.columns
+        if not column.is_primary_key
+        and (table.name.lower(), column.name.lower()) not in fk_columns
+    ]
+
+
+def mutable_text_column(schema: DatabaseSchema) -> tuple[str, str]:
+    """A (table, column) safe to rewrite in place: TEXT, non-key, non-FK."""
+    for table, column in value_columns(schema):
+        if column.col_type is ColumnType.TEXT:
+            return table, column.name
     raise RuntimeError(f"no mutable text column in {schema.db_id!r}")
 
 

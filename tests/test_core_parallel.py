@@ -2,9 +2,9 @@
 
 The engine's contract: same :class:`EvaluationRecord` stream as the
 sequential :class:`Evaluator`, in example order, regardless of worker
-count, executor kind, or cache temperature.  Record identity across
-every execution mode and both cache settings is checked in
-``tests/test_mode_identity.py``.
+count or cache temperature, and on a dataset written to since it was
+built.  Record identity across every execution mode and both cache
+settings is checked in ``tests/test_mode_identity.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from repro.core.design_space import SearchSpace
 from repro.core.evaluator import Evaluator
 from repro.core.logs import ExperimentLogStore
 from repro.core.parallel import MethodSpec, ParallelEvaluator, result_fingerprint
+from repro.datagen.benchmark import build_benchmark
 from repro.methods.zoo import build_method
+
+from tests.conftest import small_benchmark_config, value_columns
 
 METHODS = ["DAILSQL", "SuperSQL"]
 
@@ -28,30 +31,18 @@ def sequential_reports(small_dataset):
 
 
 class TestEquivalence:
-    def test_thread_pool_matches_sequential(self, small_dataset, sequential_reports):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=3, executor="thread"
-        ) as engine:
-            reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == sequential_reports[name].records
-
     def test_process_pool_matches_sequential(self, small_dataset, sequential_reports):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=2, executor="process",
-            min_process_work=1,
-        ) as engine:
+        with ParallelEvaluator(small_dataset, measure_timing=False, jobs=2) as engine:
             reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
             assert engine.stats.parallel_tasks > 0
         for name in METHODS:
             assert reports[name].records == sequential_reports[name].records
 
     def test_records_preserve_example_order(self, small_dataset):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=3, executor="thread",
-            chunk_size=2,
-        ) as engine:
+        with ParallelEvaluator(small_dataset, measure_timing=False, jobs=2) as engine:
             report = engine.evaluate_method(build_method("DAILSQL"))
+            # 43 examples in chunks of ceil(43 / (2 workers * 4)) = 6.
+            assert engine.stats.parallel_tasks == 8
         expected = [e.example_id for e in small_dataset.dev_examples]
         assert [r.example_id for r in report.records] == expected
 
@@ -78,9 +69,9 @@ class TestResultCache:
             small_dataset, log_store=store, measure_timing=False, jobs=1
         ) as engine:
             cold = engine.evaluate_method(build_method("DAILSQL"))
-            assert engine.last_run_fresh == len(cold.records)
+            assert engine.stats.fresh_by_method["DAILSQL"] == len(cold.records)
             warm = engine.evaluate_method(build_method("DAILSQL"))
-            assert engine.last_run_fresh == 0
+            assert engine.stats.fresh_by_method["DAILSQL"] == 0
         assert warm.records == cold.records
         assert warm.records == sequential_reports["DAILSQL"].records
         store.close()
@@ -167,15 +158,16 @@ class TestAASWithEngine:
         return examples, config
 
     def test_parallel_search_matches_sequential(self, small_dataset, search_inputs):
-        examples, config = search_inputs
+        _, config = search_inputs
+        # All 43 dev examples, enough for the process pool to serve the search.
+        examples = small_dataset.dev_examples
         sequential = run_aas(
             SearchSpace(), Evaluator(small_dataset, measure_timing=False),
             examples, config,
         )
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=3, executor="thread"
-        ) as engine:
+        with ParallelEvaluator(small_dataset, measure_timing=False, jobs=2) as engine:
             parallel = run_aas(SearchSpace(), engine, examples, config)
+            assert engine.stats.parallel_tasks > 0
         assert parallel.best.fitness == sequential.best.fitness
         assert parallel.best.assignment == sequential.best.assignment
         assert [
@@ -202,3 +194,57 @@ class TestAASWithEngine:
         assert warm.evaluations == 0
         assert warm.evaluations < cold.evaluations
         assert warm.best.fitness == cold.best.fitness
+
+
+def _null_value_columns(dataset) -> None:
+    """NULL every non-key, non-FK column through ``Database.apply_write``."""
+    for database in dataset.databases.values():
+        by_table: dict[str, list[str]] = {}
+        for table, column in value_columns(database.schema):
+            by_table.setdefault(table, []).append(f'"{column.name}" = NULL')
+        for table, assignments in by_table.items():
+            database.apply_write(f'UPDATE "{table}" SET {", ".join(assignments)}')
+
+
+class TestWrittenDataset:
+    """A write after the build: workers would rebuild the old rows, and the
+    result cache keys on the build recipe, so both must step aside."""
+
+    METHOD = "T5-3B + PICARD"
+
+    @pytest.fixture()
+    def private_dataset(self):
+        # Never write to the session-scoped small_dataset.
+        dataset = build_benchmark(small_benchmark_config())
+        yield dataset
+        dataset.close()
+
+    def _fresh_records(self, dataset):
+        evaluator = Evaluator(dataset, measure_timing=False)
+        return evaluator.evaluate_method(build_method(self.METHOD)).records
+
+    def test_written_dataset_evaluates_in_process(self, private_dataset):
+        before = self._fresh_records(private_dataset)
+        _null_value_columns(private_dataset)
+        expected = self._fresh_records(private_dataset)
+        assert expected != before  # the writes change records
+        with ParallelEvaluator(
+            private_dataset, measure_timing=False, jobs=2
+        ) as engine:
+            report = engine.evaluate_method(build_method(self.METHOD))
+        assert report.records == expected
+        assert engine.stats.parallel_tasks == 0
+
+    def test_result_cache_is_bypassed_after_a_write(self, private_dataset):
+        store = ExperimentLogStore()
+        with ParallelEvaluator(
+            private_dataset, log_store=store, measure_timing=False, jobs=1
+        ) as engine:
+            before = engine.evaluate_method(build_method(self.METHOD)).records
+            _null_value_columns(private_dataset)
+            after = engine.evaluate_method(build_method(self.METHOD)).records
+            assert engine.stats.cache_hits == 0
+        expected = self._fresh_records(private_dataset)
+        assert expected != before
+        assert after == expected
+        store.close()

@@ -162,8 +162,8 @@ class TestColumnValuesLimit:
         assert toy_db.column_values("flights", "destination") == full
 
     def test_thread_shared_connection(self, toy_db):
-        # The parallel engine's thread fallback shares one connection; the
-        # database lock must keep concurrent executions well-formed.
+        # The serving engine's worker threads read one Database at once;
+        # every concurrent execution must stay well-formed.
         from concurrent.futures import ThreadPoolExecutor
 
         def query(_):

@@ -113,12 +113,15 @@ class TestOneBenchmark:
 class TestOneRuntimeSwitch:
     #: The batching and pooling switches, the response-cache TTL and its
     #: test clock, and the serving option no caller set; the memo switch
-    #: (``caches_disabled()``) is the one runtime switch left.
+    #: (``caches_disabled()``) is the one runtime switch left.  Then the
+    #: parallel evaluator's thread pool and the options only tests set.
     RETIRED = (
         "batching_enabled", "batching_disabled", "set_batching_enabled",
         "pooling_enabled", "pooling_disabled", "set_pooling_enabled",
         "TTLCache", "LogicalClock", "response_cache_ttl_s", "warm_start",
         "serve_cache_expirations",
+        "min_process_work", "last_run_fresh", "benchmark_config",
+        "_evaluate_threads", 'executor="thread"', "fall back to a thread pool",
     )
 
     def test_no_doc_names_a_retired_switch_or_option(self):

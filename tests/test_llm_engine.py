@@ -6,9 +6,9 @@ warm, and with caches disabled), and the batched decode path
 (``generate_many`` / ``BoundSampler.many`` / the serving decode window)
 must produce candidate streams identical to per-draw ``generate`` calls,
 the reference it replaces: for every decoder, and for whole zoo runs
-with ``BoundSampler.many`` patched to the per-draw loop.  Thread and
-process pools are checked here over the four decoder methods; every
-execution mode and both cache settings in ``tests/test_mode_identity.py``.
+with ``BoundSampler.many`` patched to the per-draw loop.  The process
+pool is checked here over the four decoder methods; every execution
+mode and both cache settings in ``tests/test_mode_identity.py``.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ class TestPicardFallbackTokens:
 
 
 class TestExecutionModeEquivalence:
-    """Per-draw, thread-pool and process-pool zoo runs equal the batched
+    """Per-draw and process-pool zoo runs equal the batched
     sequential run."""
 
     @pytest.fixture(scope="class")
@@ -343,20 +343,10 @@ class TestExecutionModeEquivalence:
                 sum(r.cost_usd for r in unbatched)
             )
 
-    def test_thread_pool_matches_sequential(self, small_dataset, sequential_reports):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=3, executor="thread"
-        ) as engine:
-            reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        for name in METHODS:
-            assert reports[name].records == sequential_reports[name].records
-
     def test_process_pool_matches_sequential(self, small_dataset, sequential_reports):
-        with ParallelEvaluator(
-            small_dataset, measure_timing=False, jobs=2, executor="process",
-            min_process_work=1,
-        ) as engine:
+        with ParallelEvaluator(small_dataset, measure_timing=False, jobs=2) as engine:
             reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
+            assert engine.stats.parallel_tasks > 0
         for name in METHODS:
             assert reports[name].records == sequential_reports[name].records
 

@@ -2,8 +2,8 @@
 
 The contract: however a run is executed — the sequential
 :class:`~repro.core.evaluator.Evaluator`; the
-:class:`~repro.core.parallel.ParallelEvaluator` with one worker, with
-threads or with processes; the in-process
+:class:`~repro.core.parallel.ParallelEvaluator` with one worker or with
+its process pool; the in-process
 :class:`~repro.serve.engine.ServingEngine`; or the
 :class:`~repro.serve.gateway.ShardedGateway` at 1 and at 2 shards — and
 whether the memo layers run or :func:`~repro.utils.cache.caches_disabled`
@@ -126,8 +126,7 @@ def gateway(shards):
 MODES = {
     "sequential": run_sequential,
     "jobs1": parallel(jobs=1),
-    "threads": parallel(jobs=3, executor="thread", chunk_size=2),
-    "processes": parallel(jobs=2, executor="process", min_process_work=1),
+    "processes": parallel(jobs=2),
     "serving": run_serving,
     "gateway1": gateway(1),
     "gateway2": gateway(2),

@@ -486,12 +486,12 @@ class TestPipelineWiring:
             seq_report = evaluator.evaluate_method(method)
         with tracing() as par_tracer:
             with ParallelEvaluator(
-                small_dataset, measure_timing=False, jobs=2,
-                executor="process", min_process_work=1,
+                small_dataset, measure_timing=False, jobs=2
             ) as engine:
                 par_report = engine.evaluate_method(
                     with_repair(build_method(METHOD))
                 )
+                assert engine.stats.parallel_tasks > 0
         assert [r.ex for r in par_report.records] == \
             [r.ex for r in seq_report.records]
         seq = build_run_report(

@@ -128,23 +128,10 @@ class TestSequentialParallelEquivalence:
         )
         assert par_report.equivalence_key() == seq_report.equivalence_key()
 
-    def test_thread_pool_equivalence(self, small_dataset, sequential_traced):
-        with tracing() as tracer:
-            with ParallelEvaluator(
-                small_dataset, measure_timing=False, jobs=3, executor="thread",
-                chunk_size=2,
-            ) as engine:
-                reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
-        self._assert_equivalent(
-            small_dataset, sequential_traced, engine.trace_spans, reports,
-            tracer.metrics,
-        )
-
     def test_process_pool_equivalence(self, small_dataset, sequential_traced):
         with tracing() as tracer:
             with ParallelEvaluator(
-                small_dataset, measure_timing=False, jobs=2, executor="process",
-                min_process_work=1,
+                small_dataset, measure_timing=False, jobs=2
             ) as engine:
                 reports = engine.evaluate_zoo([build_method(m) for m in METHODS])
                 assert engine.stats.parallel_tasks > 0

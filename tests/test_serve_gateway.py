@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -423,25 +424,58 @@ class TestGatewayHTTP:
         assert "# TYPE serve_requests counter" in text
         assert "# TYPE gateway_requests counter" in text
 
-    def test_bad_requests_get_http_errors_not_crashes(self, gateway):
+    def test_bad_requests_get_http_errors_not_crashes(self, gateway, workload):
+        request = workload[0]
+        valid = {
+            "method": request.method, "db_id": request.db_id,
+            "question": request.question,
+        }
+        bad_bodies = [
+            b"not json", b"[]", b'"x"', b"{}",
+            json.dumps({**valid, "db_id": [1]}).encode(),
+            json.dumps({**valid, "question": 5}).encode(),
+            *(
+                json.dumps({**valid, "deadline_s": deadline}).encode()
+                for deadline in ("a", [1], {"x": 1}, True, float("nan"))
+            ),
+            json.dumps(valid).encode()[:-1] + b', "deadline_s": 1e999}',
+        ]
+        errors_before = gateway.stats.worker_errors
         with GatewayHTTPServer(gateway) as server:
             conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
             try:
                 conn.request("GET", "/nope")
                 assert conn.getresponse().status == 404
-                conn = http.client.HTTPConnection(
-                    server.host, server.port, timeout=10
-                )
-                conn.request(
-                    "POST", "/query", body=b"not json",
-                    headers={"Content-Type": "application/json"},
-                )
-                assert conn.getresponse().status == 400
+                for body in bad_bodies:
+                    conn = http.client.HTTPConnection(
+                        server.host, server.port, timeout=10
+                    )
+                    conn.request(
+                        "POST", "/query", body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    assert conn.getresponse().status == 400, body
+                    conn.close()
             finally:
                 conn.close()
-            # The server survives bad input and keeps serving.
+            # http.client cannot send a malformed Content-Length.
+            for length in (b"abc", b"-5"):
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
+                        b"Content-Length: " + length + b"\r\n\r\n"
+                    )
+                    reply = sock.recv(4096)
+                assert reply.startswith(b"HTTP/1.1 400 "), (length, reply)
+            # The server survives bad input and keeps serving; none of it
+            # reached a shard.
             with GatewayHTTPClient(server.host, server.port) as client:
                 assert client.healthz()["status"] == "ok"
+                payload = client.query(**valid)
+        assert payload["status"] == "ok"
+        assert gateway.stats.worker_errors == errors_before
 
 
 class TestGatewayLifecycle:

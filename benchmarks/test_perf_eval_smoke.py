@@ -1,8 +1,10 @@
 """Tier-2 perf smoke: three wall-clock bounds on the evaluation engine.
 
-An untimed warm-up pass fills the process-level caches; alternating
-untraced/traced sequential passes give median wall times and per-stage
-medians; a ``ParallelEvaluator`` fills a result cache that a second one
+An untimed warm-up pass fills the process-level caches; seven
+alternating untraced/traced sequential passes give median wall times
+and per-stage medians (a warm pass takes a fraction of a second, so
+fewer repeats let host noise decide the overhead bound); a
+``ParallelEvaluator`` fills a result cache that a second one
 re-reads.  Bounds: the ``fewshot`` stage under 10% of traced stage
 time, the warm parallel pass at most 1.10x the sequential pass, and
 tracing overhead at most 25%.  It writes no file outside pytest's
@@ -24,7 +26,7 @@ from repro.methods.zoo import build_method
 from repro.obs import stage_breakdown, tracing
 
 METHODS = ("C3SQL", "DAILSQL", "SFT CodeS-7B")
-REPEATS = 2
+REPEATS = 7
 FEWSHOT_SHARE_BOUND_PCT = 10.0
 WARM_PARALLEL_BOUND = 1.10
 TRACE_OVERHEAD_BOUND_PCT = 25.0

@@ -7,12 +7,15 @@ executions for VES.  Every record can be persisted to the SQLite-backed
 :class:`~repro.core.logs.ExperimentLogStore` for later analysis.
 
 Hot-path memo layers (all bit-identical on vs off, see
-``repro.utils.cache``): prepared methods select few-shot examples
-through the shared :class:`~repro.modules.retrieval.FewShotIndex`, the
-simulated model memoizes honestly-parsed intents per question, PICARD
-verdicts and candidate executions are memoized per schema/database,
-untimed predicted-SQL scoring reuses the candidate-execution LRU, and
-schema linking memoizes its string similarities per process.
+``repro.utils.cache``), shared by every method in the process: prepared
+methods select few-shot examples through the shared
+:class:`~repro.modules.retrieval.FewShotIndex`; honest intent parses and
+pruned schemas are memoized per live schema object, PICARD verdicts per
+schema, and DB-content matches, rendered schema DDL and candidate
+executions per live database; untimed predicted-SQL scoring reuses the
+candidate-execution LRU; and EM canonical forms, token counts, lexicon
+normalizations and schema-linking string similarities are memoized per
+process on their text.
 
 Observability: when a tracer is installed (``repro.obs.tracing()``),
 ``evaluate_example`` opens an example span with ``execute``/``score``

@@ -115,24 +115,24 @@ class EvalStats:
 
 
 def result_fingerprint(
-    method: NL2SQLMethod,
+    method: PipelineMethod,
     dataset: Dataset,
     measure_timing: bool,
     timing_repeats: int,
 ) -> str:
     """Stable cache fingerprint for (method config, dataset, timing knobs).
 
-    The dataset part is its build recipe, so the key identifies the
-    records only while ``dataset.as_built()`` holds.  Timing settings are
-    part of the key because they change record contents
-    (``gold_seconds`` / ``predicted_seconds``).
+    Only plain :class:`PipelineMethod` records are cached, since only
+    they rebuild from a :class:`MethodSpec`.  The dataset part is its
+    build recipe, so the key identifies the records only while
+    ``dataset.as_built()`` holds.  Timing settings are part of the key
+    because they change record contents (``gold_seconds`` /
+    ``predicted_seconds``).
     """
-    config = getattr(method, "config", None)
-    config_id = repr(config) if config is not None else f"adhoc:{method.name}"
-    seed = getattr(method, "seed", 0)
-    return (
-        f"{stable_hash(config_id, seed, dataset.fingerprint(), measure_timing, timing_repeats):016x}"
+    digest = stable_hash(
+        repr(method.config), method.seed, dataset.fingerprint(), measure_timing, timing_repeats
     )
+    return f"{digest:016x}"
 
 
 # -- worker side -------------------------------------------------------------

@@ -13,8 +13,10 @@ prompt builder (:func:`repro.modules.prompts.build_prompt`):
   :func:`repro.modules.prompts.build_prompt` guarantees (each cached
   segment ends with a newline).
 * :class:`PromptPrefixCache` — a segment/radix cache over prompt
-  construction.  Schema-DDL segments key on ``(db_id, data_version,
-  pruned tables, value-comment content)``; few-shot blocks key on
+  construction.  Schema-DDL segments are cached per live ``Database``
+  on ``(data_version, pruned tables, value-comment content)``, since
+  two datasets may hold different databases under one ``db_id`` at one
+  ``data_version``; few-shot blocks key on
   ``(strategy, k, selected examples)``; instruction overhead keys on its
   token budget.  All questions against the same database share one
   rendered (and token-counted) DDL segment, exactly like the prefix/
@@ -43,7 +45,13 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.llm.tokens import count_tokens
-from repro.utils.cache import LRUCache, caches_enabled
+from repro.utils.cache import (
+    LRUCache,
+    caches_enabled,
+    clear_object_caches,
+    lru_cache_stats,
+    per_object_cache,
+)
 
 
 @dataclass(frozen=True)
@@ -68,23 +76,39 @@ class PromptPrefixCache:
 
     ``segment(kind, key, render)`` returns the cached
     :class:`PromptSegment` for ``(kind, key)`` or renders, counts, and
-    stores it.  Lookups and stores are gated by the process-global memo
+    stores it.  With a ``host`` object the segment is cached per live
+    host instead (:func:`~repro.utils.cache.per_object_cache`, named
+    ``prefix_<kind>``), so equal keys on two hosts never share a
+    segment.  Lookups and stores are gated by the process-global memo
     switch (:func:`repro.utils.cache.caches_enabled`): with caches off
     every call renders fresh, so cached and uncached prompt construction
     stay bit-identical — the cache only ever reuses byte-equal text.
     """
 
     def __init__(self, maxsize: int = 2048) -> None:
+        self.maxsize = maxsize
         self._caches = {kind: LRUCache(maxsize=maxsize) for kind in SEGMENT_KINDS}
+        # This instance's hits and misses per kind, host-keyed lookups
+        # included (their LRUs live in the per-object registry).
+        self._counts = {kind: {"hits": 0, "misses": 0} for kind in SEGMENT_KINDS}
+        self._lock = threading.Lock()
 
     def segment(
-        self, kind: str, key: Hashable, render: Callable[[], str]
+        self,
+        kind: str,
+        key: Hashable,
+        render: Callable[[], str],
+        host: object | None = None,
     ) -> tuple[PromptSegment, bool]:
-        """Return ``(segment, hit)`` for ``(kind, key)``."""
+        """Return ``(segment, hit)`` for ``(kind, key)``, per ``host`` if given."""
         cache = self._caches[kind]
         if not caches_enabled():
             return PromptSegment.render(render()), False
+        if host is not None:
+            cache = per_object_cache(host, _hosted_name(kind), maxsize=self.maxsize)
         hit, value = cache.lookup(key)
+        with self._lock:
+            self._counts[kind]["hits" if hit else "misses"] += 1
         if hit:
             return value, True
         segment = PromptSegment.render(render())
@@ -92,20 +116,26 @@ class PromptPrefixCache:
         return segment, False
 
     def clear(self) -> None:
-        for cache in self._caches.values():
+        for kind, cache in self._caches.items():
             cache.clear()
+            clear_object_caches(_hosted_name(kind))
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Deterministic per-kind counter snapshot."""
-        return {
-            kind: {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "entries": len(cache),
-            }
-            for kind, cache in self._caches.items()
-        }
+        """Per-kind hits and misses of this instance, plus the entries
+        and evictions of its own LRUs and of every live host's."""
+        hosted = lru_cache_stats()
+        with self._lock:
+            counts = {kind: dict(pair) for kind, pair in self._counts.items()}
+        for kind, cache in self._caches.items():
+            extra = hosted.get(_hosted_name(kind), {})
+            counts[kind]["evictions"] = cache.evictions + extra.get("evictions", 0)
+            counts[kind]["entries"] = len(cache) + extra.get("entries", 0)
+        return counts
+
+
+def _hosted_name(kind: str) -> str:
+    """The ``per_object_cache`` name of ``kind``'s per-host segments."""
+    return f"prefix_{kind}"
 
 
 # One cache per process, shared by every method and serving engine:

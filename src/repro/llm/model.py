@@ -39,8 +39,14 @@ from repro.obs.trace import get_tracer
 from repro.schema.model import DatabaseSchema, ForeignKey
 from repro.sqlkit.natsql import from_natsql, to_natsql
 from repro.sqlkit.parser import parse_select
-from repro.utils.cache import LRUCache, caches_enabled
+from repro.utils.cache import caches_enabled, per_object_cache
 from repro.utils.rng import derive_rng
+
+# Per-schema memo bounds.  A zoo pass over one schema sees a few hundred
+# distinct (pruned tables, normalized question) keys and a few dozen
+# pruned table tuples.
+_INTENT_CACHE_SIZE = 4096
+_PRUNED_CACHE_SIZE = 512
 
 # Fraction of each error class that is systematic (identical across
 # samples of the same question) rather than per-draw noise.
@@ -101,12 +107,6 @@ class SimulatedLanguageModel:
         self.finetune = finetune
         self.seed = seed
         self._lexicon: Lexicon | None = None
-        # Honest-parse memo: the intent (or None on a parse failure) per
-        # (db_id, question, pruned-table tuple).  Beam/sampling draws of
-        # the same question re-derive an identical pre-corruption intent,
-        # and QueryIntent is frozen, so sharing it is safe.
-        self._intent_cache = LRUCache(maxsize=8192)
-        self._pruned_cache = LRUCache(maxsize=512)
 
     # -- identity --------------------------------------------------------
 
@@ -148,19 +148,54 @@ class SimulatedLanguageModel:
     # -- generation --------------------------------------------------------
 
     def _effective_schema(self, database: Database, prompt: Prompt) -> DatabaseSchema:
-        """The (possibly pruned) schema the model reads, memoized when on."""
+        """The (possibly pruned) schema the model reads, memoized when on.
+
+        Pruned schemas are shared per live schema object by every model:
+        a pruned schema depends only on its parent and the table tuple,
+        and nothing mutates a ``DatabaseSchema`` after it is built.
+        """
         schema = database.schema
-        if prompt.features.schema_tables is None:
+        tables = prompt.features.schema_tables
+        if tables is None:
             return schema
-        if caches_enabled():
-            pruned_key = (schema.db_id, prompt.features.schema_tables)
-            hit, cached_schema = self._pruned_cache.lookup(pruned_key)
-            if hit:
-                return cached_schema
-            effective_schema = _pruned_schema(schema, prompt.features.schema_tables)
-            self._pruned_cache.put(pruned_key, effective_schema)
-            return effective_schema
-        return _pruned_schema(schema, prompt.features.schema_tables)
+        if not caches_enabled():
+            return _pruned_schema(schema, tables)
+        cache = per_object_cache(schema, "pruned_schemas", maxsize=_PRUNED_CACHE_SIZE)
+        hit, effective_schema = cache.lookup(tables)
+        if not hit:
+            effective_schema = _pruned_schema(schema, tables)
+            cache.put(tables, effective_schema)
+        return effective_schema
+
+    def _honest_intent(
+        self, database: Database, prompt: Prompt, effective_schema: DatabaseSchema
+    ) -> QueryIntent | None:
+        """The pre-corruption parse of the question; ``None`` on a failure.
+
+        The parse depends only on the effective schema and the
+        lexicon-normalized question, so it is memoized per live schema
+        object on ``(schema_tables, normalized question)`` and shared by
+        every model whose lexicon reads the question the same way.  A
+        parse failure is as deterministic as a success, so the memo
+        stores intent-or-None; ``QueryIntent`` is frozen, so sharing it
+        is safe.
+        """
+        if not caches_enabled():
+            return self._parse_intent(effective_schema, prompt.question)
+        cache = per_object_cache(
+            database.schema, "intents", maxsize=_INTENT_CACHE_SIZE
+        )
+        key = (
+            prompt.features.schema_tables,
+            self.lexicon().normalize(prompt.question),
+        )
+        hit, intent = cache.lookup(key)
+        if hit:
+            get_tracer().annotate_stage(memo_hits=1)
+            return intent
+        intent = self._parse_intent(effective_schema, prompt.question)
+        cache.put(key, intent)
+        return intent
 
     def _question_key(self, prompt: Prompt) -> tuple:
         fingerprint = (
@@ -188,7 +223,6 @@ class SimulatedLanguageModel:
         completion.
         """
         schema = database.schema
-        use_caches = caches_enabled()
         effective_schema = self._effective_schema(database, prompt)
 
         context = CorruptionContext(
@@ -208,23 +242,7 @@ class SimulatedLanguageModel:
         systematic_rng = derive_rng(self.seed, "sys", *question_key)
         draw_rng = derive_rng(self.seed, "draw", *question_key, draw, round(temperature, 3))
 
-        # A parse failure is as deterministic as a parse success (both
-        # depend only on question + effective schema + lexicon), so the
-        # memo stores intent-or-None and parse_failed is derived from it.
-        if use_caches:
-            intent_key = (
-                prompt.db_id,
-                prompt.question,
-                prompt.features.schema_tables,
-            )
-            hit, intent = self._intent_cache.lookup(intent_key)
-            if hit:
-                get_tracer().annotate_stage(memo_hits=1)
-            else:
-                intent = self._parse_intent(effective_schema, prompt.question)
-                self._intent_cache.put(intent_key, intent)
-        else:
-            intent = self._parse_intent(effective_schema, prompt.question)
+        intent = self._honest_intent(database, prompt, effective_schema)
         parse_failed = intent is None
 
         if intent is None:
@@ -297,26 +315,12 @@ class SimulatedLanguageModel:
         if not draws:
             return []
         schema = database.schema
-        use_caches = caches_enabled()
         effective_schema = self._effective_schema(database, prompt)
         question_key = self._question_key(prompt)
 
         # One honest parse for the whole batch (per-draw calls repeat it
         # verbatim; with the memo on they pay a lookup each instead).
-        if use_caches:
-            intent_key = (
-                prompt.db_id,
-                prompt.question,
-                prompt.features.schema_tables,
-            )
-            hit, intent = self._intent_cache.lookup(intent_key)
-            if hit:
-                get_tracer().annotate_stage(memo_hits=1)
-            else:
-                intent = self._parse_intent(effective_schema, prompt.question)
-                self._intent_cache.put(intent_key, intent)
-        else:
-            intent = self._parse_intent(effective_schema, prompt.question)
+        intent = self._honest_intent(database, prompt, effective_schema)
 
         if intent is None:
             # Parse failure: every draw degrades to the same deterministic

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import re
 
+from repro.utils.cache import gated_lru_cache
+
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 
+# Nearly every call counts a short SQL completion or a prompt tail, and
+# the same few thousand strings recur across methods; long segments are
+# counted once by the prompt prefix cache.
+_TOKENS_CACHE_SIZE = 16384
 
+
+@gated_lru_cache(maxsize=_TOKENS_CACHE_SIZE)
 def count_tokens(text: str) -> int:
     """Estimate the number of BPE tokens in ``text``."""
     total = 0

@@ -13,11 +13,11 @@ example's span (see :mod:`repro.obs.trace`).
 
 Prompt assembly goes through the process-global
 :class:`~repro.llm.engine.PromptPrefixCache`: the instruction-overhead
-block, the schema-DDL block (keyed on ``(db_id, data_version, pruned
-tables, value-comment content)``), and the few-shot block (keyed on
-``(strategy, k, selected examples)``) are rendered and token-counted
-once, then shared by every question — and method — that produces the
-same segment.  Cached segments end on newlines and the approximate
+block, the schema-DDL block (cached per live ``Database`` on
+``(data_version, pruned tables, value-comment content)``), and the
+few-shot block (keyed on ``(strategy, k, selected examples)``) are
+rendered and token-counted once, then shared by every question — and
+method — that produces the same segment.  Cached segments end on newlines and the approximate
 tokenizer never matches across whitespace, so the prompt's token count
 is primed as the exact sum of per-segment counts
 (:meth:`~repro.llm.prompt.Prompt.prime_token_count`) instead of a fresh
@@ -151,7 +151,6 @@ def build_prompt(
         schema_segment, schema_hit = segments.segment(
             "schema",
             (
-                schema.db_id,
                 database.data_version,
                 schema_tables,
                 _value_comments_key(value_comments),
@@ -165,6 +164,7 @@ def build_prompt(
                 )
                 + "\n\n"
             ),
+            host=database,
         )
         trace.annotate_stage(
             prefix_hits=int(overhead_hit) + int(schema_hit),

@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.utils.cache import gated_lru_cache
+
 # Base (easy) normalization rules, applied in order.  Patterns operate on
 # lowercase text.
 _BASE_RULES: list[tuple[str, str]] = [
@@ -50,6 +52,34 @@ _HARD_RULES: dict[str, tuple[str, str]] = {
 
 HARD_PHRASES: tuple[str, ...] = tuple(_HARD_RULES)
 
+# Every model re-reads the same dev questions; a zoo pass normalizes
+# about 2k distinct (coverage, question) pairs.
+_NORMALIZE_CACHE_SIZE = 16384
+
+
+@gated_lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
+def _normalize(enabled_hard: frozenset[str], question: str) -> str:
+    """:meth:`Lexicon.normalize`, memoized per (hard-phrase coverage, question)."""
+    literals: list[str] = []
+
+    def _stash(match: re.Match[str]) -> str:
+        literals.append(match.group(0))
+        return f"\x00{len(literals) - 1}\x00"
+
+    text = re.sub(r"'[^']*'", _stash, question.strip())
+    text = text.lower()
+    for pattern, replacement in _BASE_RULES:
+        text = re.sub(pattern, replacement, text)
+    for phrase in HARD_PHRASES:
+        if phrase not in enabled_hard:
+            continue
+        pattern, replacement = _HARD_RULES[phrase]
+        text = re.sub(pattern, replacement, text)
+    text = re.sub(r"\s+", " ", text).strip()
+    for index, literal in enumerate(literals):
+        text = text.replace(f"\x00{index}\x00", literal)
+    return text
+
 
 @dataclass
 class Lexicon:
@@ -72,25 +102,7 @@ class Lexicon:
         whose original case must survive so that generated SQL literals
         match database contents.
         """
-        literals: list[str] = []
-
-        def _stash(match: re.Match[str]) -> str:
-            literals.append(match.group(0))
-            return f"\x00{len(literals) - 1}\x00"
-
-        text = re.sub(r"'[^']*'", _stash, question.strip())
-        text = text.lower()
-        for pattern, replacement in _BASE_RULES:
-            text = re.sub(pattern, replacement, text)
-        for phrase in HARD_PHRASES:
-            if phrase not in self.enabled_hard:
-                continue
-            pattern, replacement = _HARD_RULES[phrase]
-            text = re.sub(pattern, replacement, text)
-        text = re.sub(r"\s+", " ", text).strip()
-        for index, literal in enumerate(literals):
-            text = text.replace(f"\x00{index}\x00", literal)
-        return text
+        return _normalize(frozenset(self.enabled_hard), question)
 
     def unresolved_hard_phrases(self, question: str) -> list[str]:
         """Hard phrases present in ``question`` that this lexicon cannot resolve."""

@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-# (metric name, sorted (label, value) pairs) — the aggregation key.
-MetricKey = tuple[str, tuple[tuple[str, str], ...]]
+# Sorted (label, value) pairs, and (metric name, those pairs): the
+# aggregation key.
+LabelKey = tuple[tuple[str, str], ...]
+MetricKey = tuple[str, LabelKey]
 
 
 @dataclass
@@ -68,11 +71,9 @@ class HistogramSummary:
         }
 
 
-def _key(name: str, labels: dict[str, object]) -> MetricKey:
-    return (
-        name,
-        tuple(sorted((k, str(v)) for k, v in labels.items() if v is not None)),
-    )
+def label_key(labels: dict[str, object]) -> LabelKey:
+    """The sorted ``(label, str(value))`` pairs of ``labels``, ``None`` values dropped."""
+    return tuple(sorted((k, str(v)) for k, v in labels.items() if v is not None))
 
 
 class MetricsRegistry:
@@ -86,16 +87,29 @@ class MetricsRegistry:
     # -- writing ---------------------------------------------------------
 
     def count(self, name: str, value: float = 1.0, **labels: object) -> None:
-        key = _key(name, labels)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + value
+        self.add(counts=(((name, label_key(labels)), value),))
 
     def observe(self, name: str, value: float, **labels: object) -> None:
-        key = _key(name, labels)
+        self.add(observations=(((name, label_key(labels)), value),))
+
+    def add(
+        self,
+        counts: Iterable[tuple[MetricKey, float]] = (),
+        observations: Iterable[tuple[MetricKey, float]] = (),
+    ) -> None:
+        """Add ``(key, value)`` counts and observations under one lock.
+
+        Ingestion folds several metrics per record and span: it builds
+        each label key once (:func:`label_key`) and adds them in one call.
+        """
         with self._lock:
-            if key not in self._histograms:
-                self._histograms[key] = HistogramSummary()
-            self._histograms[key].observe(value)
+            for key, value in counts:
+                self._counters[key] = self._counters.get(key, 0.0) + value
+            for key, value in observations:
+                summary = self._histograms.get(key)
+                if summary is None:
+                    summary = self._histograms[key] = HistogramSummary()
+                summary.observe(value)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other``'s metrics into this registry."""
@@ -160,21 +174,23 @@ def ingest_record(
     cache_hit: bool = False,
 ) -> None:
     """Fold one :class:`EvaluationRecord` into per-method×benchmark×hardness metrics."""
-    labels = {
+    labels = label_key({
         "method": record.method,
         "benchmark": benchmark,
         "hardness": record.hardness.value,
-    }
-    registry.count("examples", **labels)
+    })
+    counts = [(("examples", labels), 1.0)]
     if record.ex:
-        registry.count("ex_correct", **labels)
+        counts.append((("ex_correct", labels), 1.0))
     if record.em:
-        registry.count("em_correct", **labels)
+        counts.append((("em_correct", labels), 1.0))
     if cache_hit:
-        registry.count("result_cache_hits", **labels)
-    registry.observe("cost_usd", record.cost_usd, **labels)
-    registry.observe("total_tokens", record.total_tokens, **labels)
-    registry.observe("latency_s", record.latency_s, **labels)
+        counts.append((("result_cache_hits", labels), 1.0))
+    registry.add(counts, (
+        (("cost_usd", labels), record.cost_usd),
+        (("total_tokens", labels), record.total_tokens),
+        (("latency_s", labels), record.latency_s),
+    ))
 
 
 
@@ -226,16 +242,24 @@ def ingest_span(registry: MetricsRegistry, benchmark: str, span) -> None:
             method=span.method,
             benchmark=benchmark,
         )
+    # "stage" sorts after "benchmark" and "method", so appending its pair
+    # to the span's key gives each stage's sorted key.
+    span_labels = label_key({"method": span.method, "benchmark": benchmark})
+    counts: list[tuple[MetricKey, float]] = []
+    observations: list[tuple[MetricKey, float]] = []
     for stage in span.stages:
-        labels = {"stage": stage.stage, "method": span.method, "benchmark": benchmark}
-        registry.observe("stage_seconds", stage.seconds, **labels)
+        labels = span_labels + (("stage", str(stage.stage)),)
+        observations.append((("stage_seconds", labels), stage.seconds))
         if stage.cache_hit:
-            registry.count("stage_cache_hits", **labels)
+            counts.append((("stage_cache_hits", labels), 1.0))
         if stage.llm_calls:
-            registry.count("llm_calls", value=stage.llm_calls, **labels)
-        for name, value in stage.counters.items():
-            if value:
-                registry.count(_COUNTER_METRICS[name], value=value, **labels)
+            counts.append((("llm_calls", labels), stage.llm_calls))
+        counts.extend(
+            ((_COUNTER_METRICS[name], labels), value)
+            for name, value in stage.counters.items()
+            if value
+        )
+    registry.add(counts, observations)
 
 
 #: ``Database.pool_stats()`` key -> metric name, for :func:`ingest_deltas`.

@@ -32,6 +32,7 @@ from repro.sqlkit.ast_nodes import (
     Subquery,
 )
 from repro.sqlkit.parser import parse_select
+from repro.utils.cache import gated_lru_cache
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,32 @@ def _canonicalize(
     )
 
 
+# Distinct SQL texts per process are few: the zoo's gold queries plus
+# each method's distinct predictions (about 1.9k per Spider-like pass).
+_CANON_CACHE_SIZE = 8192
+
+
+@gated_lru_cache(maxsize=_CANON_CACHE_SIZE)
+def _canonical_text(sql: str, compare_values: bool) -> _Canon | None:
+    """The canonical form of ``sql``; ``None`` when it does not parse.
+
+    Only parse failures become a (memoized) ``None``: an ``SQLError``
+    from ``_canonicalize`` propagates and is never memoized.
+    """
+    try:
+        statement = parse_select(sql)
+    except SQLError:
+        return None
+    return _canonicalize(statement, compare_values)
+
+
+def _canonical_form(query: str | SelectStatement, compare_values: bool) -> _Canon | None:
+    # A SelectStatement is mutable, so it is canonicalized afresh.
+    if isinstance(query, SelectStatement):
+        return _canonicalize(query, compare_values)
+    return _canonical_text(query, compare_values)
+
+
 def exact_match(
     predicted: str | SelectStatement,
     gold: str | SelectStatement,
@@ -239,11 +266,13 @@ def exact_match(
 ) -> bool:
     """Return True iff the two queries match component-wise (Spider EM).
 
-    Unparseable predictions simply do not match.
+    Unparseable predictions simply do not match.  The canonical form of
+    each SQL text is memoized per process (bypassed under
+    :func:`~repro.utils.cache.caches_disabled`), so a gold query shared
+    by every method is parsed once.
     """
-    try:
-        pred_stmt = predicted if isinstance(predicted, SelectStatement) else parse_select(predicted)
-        gold_stmt = gold if isinstance(gold, SelectStatement) else parse_select(gold)
-    except SQLError:
+    predicted_form = _canonical_form(predicted, compare_values)
+    if predicted_form is None:
         return False
-    return _canonicalize(pred_stmt, compare_values) == _canonicalize(gold_stmt, compare_values)
+    gold_form = _canonical_form(gold, compare_values)
+    return gold_form is not None and predicted_form == gold_form

@@ -109,10 +109,21 @@ class LRUCache:
 # dead object's memo) and drives eviction via weakref.finalize.
 _OBJECT_CACHES: dict[tuple[int, str], tuple[weakref.ref, LRUCache]] = {}
 _OBJECT_CACHES_LOCK = threading.Lock()
+# Keys whose host died, awaiting removal under the lock.
+_DEAD_KEYS: list[tuple[int, str]] = []
 
 
 def _evict_if_dead(key: tuple[int, str]) -> None:
-    with _OBJECT_CACHES_LOCK:
+    # A finalizer can run on any allocation, including one made while
+    # this thread holds the lock, so it only queues the key (list.append
+    # takes no lock); lock holders drain the queue.
+    _DEAD_KEYS.append(key)
+
+
+def _drain_dead_keys() -> None:
+    """Drop the entries of dead hosts; the caller holds the lock."""
+    while _DEAD_KEYS:
+        key = _DEAD_KEYS.pop()
         entry = _OBJECT_CACHES.get(key)
         if entry is not None and entry[0]() is None:
             del _OBJECT_CACHES[key]
@@ -126,6 +137,7 @@ def per_object_cache(host: object, name: str, maxsize: int = 1024) -> LRUCache:
     """
     key = (id(host), name)
     with _OBJECT_CACHES_LOCK:
+        _drain_dead_keys()
         entry = _OBJECT_CACHES.get(key)
         if entry is not None and entry[0]() is host:
             return entry[1]
@@ -133,6 +145,15 @@ def per_object_cache(host: object, name: str, maxsize: int = 1024) -> LRUCache:
         _OBJECT_CACHES[key] = (weakref.ref(host), cache)
     weakref.finalize(host, _evict_if_dead, key)
     return cache
+
+
+def clear_object_caches(name: str) -> None:
+    """Empty every live per-object cache named ``name``."""
+    with _OBJECT_CACHES_LOCK:
+        entries = list(_OBJECT_CACHES.items())
+    for (_host_id, cache_name), (_ref, cache) in entries:
+        if cache_name == name:
+            cache.clear()
 
 
 def lru_cache_stats() -> dict[str, dict[str, int]]:
@@ -146,6 +167,7 @@ def lru_cache_stats() -> dict[str, dict[str, int]]:
     """
     totals: dict[str, dict[str, int]] = {}
     with _OBJECT_CACHES_LOCK:
+        _drain_dead_keys()
         entries = list(_OBJECT_CACHES.items())
     for (_host_id, name), (ref, cache) in entries:
         if ref() is None:
@@ -195,8 +217,8 @@ def gated_lru_cache(maxsize: int) -> Callable[[Callable], Callable]:
     For pure functions of immutable (string) arguments.  While caches are
     enabled a call goes through the memo; under :func:`caches_disabled`
     it runs the undecorated body, so the memo neither hits nor fills.
-    The returned function keeps the memo's ``cache_info`` and, via
-    ``__wrapped__``, the plain body.
+    The returned function keeps the memo's ``cache_info`` and
+    ``cache_clear`` and, via ``__wrapped__``, the plain body.
     """
 
     def decorate(function: Callable) -> Callable:
@@ -207,6 +229,7 @@ def gated_lru_cache(maxsize: int) -> Callable[[Callable], Callable]:
             return memo(*args) if _ENABLED else function(*args)
 
         gated.cache_info = memo.cache_info
+        gated.cache_clear = memo.cache_clear
         return gated
 
     return decorate

@@ -12,7 +12,10 @@ canonicalization.
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -374,3 +377,31 @@ class TestResultFingerprint:
         assert result_fingerprint(build_method("SuperSQL", seed=7), dataset, True, 1) == (
             "b3aa64420cf268f3"
         )
+
+
+# -- per-object registry ------------------------------------------------------
+
+
+class TestPerObjectRegistry:
+    def test_a_host_finalized_under_the_registry_lock_does_not_deadlock(self):
+        # Garbage collection can finalize a dead host during an allocation
+        # made while this thread holds the registry lock; the finalizer
+        # must not wait for that lock.  Run apart: a deadlock would hang.
+        script = (
+            "import gc\n"
+            "from repro.utils import cache\n"
+            "class Host:\n"
+            "    pass\n"
+            "host = Host()\n"
+            "cache.per_object_cache(host, 'memo')\n"
+            "with cache._OBJECT_CACHES_LOCK:\n"
+            "    del host\n"
+            "    gc.collect()\n"
+            "assert 'memo' not in cache.lru_cache_stats()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60,
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr

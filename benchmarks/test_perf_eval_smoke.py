@@ -1,9 +1,10 @@
 """Tier-2 perf smoke: three wall-clock bounds on the evaluation engine.
 
-An untimed warm-up pass fills the process-level caches; seven
-alternating untraced/traced sequential passes give median wall times
-and per-stage medians (a warm pass takes a fraction of a second, so
-fewer repeats let host noise decide the overhead bound); a
+An untimed warm-up pass fills the process-level caches; fifteen
+alternating untraced/traced sequential passes give median wall times,
+per-stage medians and the median traced/untraced ratio of adjacent
+passes (a warm pass takes a fraction of a second, so fewer repeats, or
+medians taken apart, let host noise decide the overhead bound); a
 ``ParallelEvaluator`` fills a result cache that a second one
 re-reads.  Bounds: the ``fewshot`` stage under 10% of traced stage
 time, the warm parallel pass at most 1.10x the sequential pass, and
@@ -26,7 +27,7 @@ from repro.methods.zoo import build_method
 from repro.obs import stage_breakdown, tracing
 
 METHODS = ("C3SQL", "DAILSQL", "SFT CodeS-7B")
-REPEATS = 7
+REPEATS = 15
 FEWSHOT_SHARE_BOUND_PCT = 10.0
 WARM_PARALLEL_BOUND = 1.10
 TRACE_OVERHEAD_BOUND_PCT = 25.0
@@ -70,7 +71,11 @@ def test_eval_engine_wall_clock_bounds(tmp_path):
     dataset.close()
 
     sequential_seconds = statistics.median(untraced)
-    overhead_pct = 100.0 * (statistics.median(traced) / sequential_seconds - 1.0)
+    # Each traced pass against the untraced pass just before it: the
+    # host's speed drifts within seconds, and adjacent passes share it.
+    overhead_pct = 100.0 * (
+        statistics.median(t / u for u, t in zip(untraced, traced)) - 1.0
+    )
     stage_seconds = {
         stage: statistics.median(rows[stage]["seconds"] for rows in breakdowns)
         for stage in breakdowns[0]

@@ -48,8 +48,10 @@ class HistogramSummary:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     def merge(self, other: "HistogramSummary") -> None:
         self.count += other.count
@@ -254,11 +256,9 @@ def ingest_span(registry: MetricsRegistry, benchmark: str, span) -> None:
             counts.append((("stage_cache_hits", labels), 1.0))
         if stage.llm_calls:
             counts.append((("llm_calls", labels), stage.llm_calls))
-        counts.extend(
-            ((_COUNTER_METRICS[name], labels), value)
-            for name, value in stage.counters.items()
-            if value
-        )
+        for name, value in stage.counters.items():
+            if value:
+                counts.append(((_COUNTER_METRICS[name], labels), value))
     registry.add(counts, observations)
 
 

@@ -144,12 +144,38 @@ _NULL_SPAN = _NullSpan()
 _NULL_CONTEXT = _NullContext()
 
 
-class _StageContext:
-    """Times one stage span and appends it to its example span.
+# The span contexts are plain classes rather than generator context
+# managers, the cheaper of the two: a traced example opens one example
+# and about seven stage spans.
 
-    A plain class rather than a generator context manager: a traced
-    example opens about seven stages, and this is the cheaper of the two.
-    """
+
+class _ExampleContext:
+    """Times one example span and hands it to its tracer when done."""
+
+    __slots__ = ("_tracer", "_span", "_previous", "_start")
+
+    def __init__(self, tracer: "Tracer", span: ExampleSpan) -> None:
+        self._tracer = tracer
+        self._span = span
+
+    def __enter__(self) -> ExampleSpan:
+        tls = self._tracer._tls
+        self._previous = getattr(tls, "example", None)
+        tls.example = self._span
+        self._start = time.perf_counter()
+        return self._span
+
+    def __exit__(self, *exc_info: object) -> bool:
+        tracer = self._tracer
+        self._span.seconds = time.perf_counter() - self._start
+        tracer._tls.example = self._previous
+        with tracer._lock:
+            tracer._spans.append(self._span)
+        return False
+
+
+class _StageContext:
+    """Times one stage span and appends it to its example span."""
 
     __slots__ = ("_tls", "_span", "_example", "_previous", "_start")
 
@@ -184,20 +210,9 @@ class Tracer:
 
     # -- span context managers ------------------------------------------
 
-    @contextmanager
     def example(self, method: str, example_id: str):
         """Open the example-level span; stages nest inside it."""
-        span = ExampleSpan(method=method, example_id=example_id)
-        previous = getattr(self._tls, "example", None)
-        self._tls.example = span
-        start = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.seconds = time.perf_counter() - start
-            self._tls.example = previous
-            with self._lock:
-                self._spans.append(span)
+        return _ExampleContext(self, ExampleSpan(method=method, example_id=example_id))
 
     def stage(self, stage: str):
         """Open a stage span inside the current example (no-op outside)."""

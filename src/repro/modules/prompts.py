@@ -17,12 +17,13 @@ block, the schema-DDL block (cached per live ``Database`` on
 ``(data_version, pruned tables, value-comment content)``), and the
 few-shot block (keyed on ``(strategy, k, selected examples)``) are
 rendered and token-counted once, then shared by every question — and
-method — that produces the same segment.  Cached segments end on newlines and the approximate
-tokenizer never matches across whitespace, so the prompt's token count
-is primed as the exact sum of per-segment counts
-(:meth:`~repro.llm.prompt.Prompt.prime_token_count`) instead of a fresh
-regex scan per example.  Segment hits/misses are annotated on the
-enclosing stage span as ``prefix_hits`` / ``prefix_misses``.
+method — that produces the same segment.  Cached segments end on
+newlines and the approximate tokenizer never matches across
+whitespace, so the prompt's token count is primed as the exact sum of
+per-segment counts (:meth:`~repro.llm.prompt.Prompt.prime_token_count`)
+instead of a fresh regex scan per example.  Segment hits/misses are
+annotated on the enclosing stage span as ``prefix_hits`` /
+``prefix_misses``.
 """
 
 from __future__ import annotations

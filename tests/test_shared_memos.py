@@ -201,7 +201,7 @@ class TestDbContentMemo:
             if not db_content._may_reach(len(a.lower()), len(b.lower()), threshold):
                 assert normalized_similarity(a, b) < threshold
 
-    def test_bridge_matches_unchanged_on_benchmark_questions(self, small_dataset):
+    def test_matches_equal_the_unmemoized_scan_on_benchmark_questions(self, small_dataset):
         for example in small_dataset.dev_examples:
             database = small_dataset.databases[example.db_id]
             for strategy in ("bridge", "codes"):
@@ -214,10 +214,11 @@ class TestDbContentMemo:
 
 
 def _loaded(schema) -> Database:
+    """``schema`` holding the toy rows; columns beyond them stay NULL."""
     database = Database(schema)
     database.insert_rows("airports", AIRPORT_ROWS)
-    database.insert_rows("flights", [row + (None,) * (len(schema.table("flights").columns) - 5)
-                                     for row in FLIGHT_ROWS])
+    padding = (None,) * (len(schema.table("flights").columns) - len(FLIGHT_ROWS[0]))
+    database.insert_rows("flights", [row + padding for row in FLIGHT_ROWS])
     return database
 
 

@@ -1,32 +1,37 @@
 """Async HTTP front end for the sharded gateway (stdlib only).
 
-:class:`GatewayHTTPServer` runs an :mod:`asyncio` HTTP/1.1 server on a
-background thread in front of a started
-:class:`~repro.serve.gateway.cluster.ShardedGateway`:
+:class:`GatewayHTTPServer` runs an :mod:`asyncio` HTTP/1.1 server on
+the event loop of a started
+:class:`~repro.serve.gateway.cluster.ShardedGateway`, the loop that
+also owns the shard sockets:
 
 * ``POST /query`` — JSON ``{"method", "db_id", "question",
   "deadline_s"?}`` in, the canonical
   :func:`~repro.serve.gateway.wire.response_to_dict` envelope out
   (typed ``ok`` / ``timeout`` / ``rejected`` / ``error`` statuses, never
-  a hang).  Malformed input gets HTTP 400 and never reaches a shard.
-* ``GET /healthz`` — liveness JSON; HTTP 200 when every shard answers,
-  503 when degraded.
+  a hang).  The handler awaits the owner shard's reply on the loop; a
+  request with a deadline that its shard misses is answered ``timeout``
+  by the gateway.  Malformed input gets HTTP 400 and never reaches a
+  shard.
+* ``GET /healthz`` — liveness JSON; HTTP 200 when every shard answers
+  its ping in time, 503 when degraded.
 * ``GET /metrics`` — the merged shard + parent metric state in
   Prometheus text exposition format.
 
-Blocking gateway calls run on the event loop's default executor so the
-accept loop stays responsive; connections are keep-alive until the
-client closes.  :class:`GatewayHTTPClient` is the matching
-:mod:`http.client` helper used by the benchmark and tests.
+Every handler is a coroutine on the gateway's loop and every wait it
+makes is one of the gateway's bounded waits; connections are
+keep-alive until the client closes or the server does.
+:class:`GatewayHTTPClient` is the matching :mod:`http.client` helper
+used by the benchmark and tests.
 
 Inputs/outputs: HTTP requests in; deterministic JSON bodies /
 Prometheus text out (timing fields are excluded from ``/query`` bodies
 so identical traces produce byte-identical responses).
 
-Thread/process safety: the server owns its loop thread; ``start``/
-``close`` are safe from the owning thread.  The client serializes its
-one connection with a lock, so an instance may be shared across
-threads.
+Thread/process safety: the server keeps no thread or loop of its own;
+``start``/``close`` run on the gateway's loop and are safe from any
+other thread.  The client serializes its one connection with a lock,
+so an instance may be shared across threads.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ import sys
 import threading
 
 from repro.errors import GatewayError
-from repro.serve.gateway.cluster import ShardedGateway
+from repro.obs.prometheus import render_prometheus
+from repro.serve.engine import ServeRequest
+from repro.serve.gateway.cluster import CLOSE_TIMEOUT_S, ShardedGateway
 from repro.serve.gateway.wire import response_to_dict
 
 _MAX_BODY_BYTES = 1 << 20
@@ -86,8 +93,41 @@ def _parse_query(body: bytes) -> tuple[str, str, str, float | None]:
     return request["method"], request["db_id"], request["question"], deadline_s
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # past the reader's 64 KiB line limit
+        raise ValueError("request line or header line too long") from None
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], int] | None:
+    """``(method, target, headers, body length)`` of the next request, or
+    ``None`` once the client is done; raises ``ValueError`` naming what is
+    malformed."""
+    request_line = await _read_line(reader)
+    if not request_line or request_line.strip() == b"":
+        return None
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 3:
+        raise ValueError("malformed request line")
+    headers: dict[str, str] = {}
+    while True:
+        line = await _read_line(reader)
+        if not line or line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    length = int(raw_length) if raw_length.isdecimal() else -1
+    if not 0 <= length <= _MAX_BODY_BYTES:
+        raise ValueError("body too large" if length > 0 else "bad Content-Length")
+    return parts[0].upper(), parts[1], headers, length
+
+
 class GatewayHTTPServer:
-    """Background-thread asyncio HTTP server over one started gateway."""
+    """asyncio HTTP server on a started gateway's own event loop."""
 
     def __init__(
         self, gateway: ShardedGateway, host: str = "127.0.0.1", port: int = 0
@@ -95,33 +135,41 @@ class GatewayHTTPServer:
         self.gateway = gateway
         self.host = host
         self.port = port  # 0 = ephemeral; the bound port replaces it on start
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "GatewayHTTPServer":
-        if self._thread is not None:
+        if self._server is not None:
             return self
-        self._thread = threading.Thread(
-            target=self._run, name="gateway-http", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise GatewayError(f"HTTP server failed to start: {self._startup_error}")
+        try:
+            self._server = self.gateway._run(
+                asyncio.start_server(self._handle_connection, self.host, self.port)
+            )
+        except OSError as exc:
+            raise GatewayError(f"HTTP server failed to start: {exc}") from exc
+        self.port = self._server.sockets[0].getsockname()[1]
+        self.gateway._servers.append(self)
         return self
 
     def close(self) -> None:
-        if self._loop is None or self._thread is None:
+        """Stop listening, end every open connection, and wait for them."""
+        if self._server is None:
             return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._thread = None
-        self._loop = None
+        server, self._server = self._server, None
+        self.gateway._servers.remove(self)
+        self.gateway._on_loop(self._shutdown(server), CLOSE_TIMEOUT_S)
+
+    async def _shutdown(self, server: asyncio.base_events.Server) -> None:
+        server.close()
+        tasks = list(self._connections)
+        self._connections.clear()  # marks them as ended by close()
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.wait(tasks)
+        await server.wait_closed()
 
     def __enter__(self) -> "GatewayHTTPServer":
         return self.start()
@@ -133,67 +181,29 @@ class GatewayHTTPServer:
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            self._server = loop.run_until_complete(
-                asyncio.start_server(self._handle_connection, self.host, self.port)
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-        except BaseException as exc:  # noqa: BLE001 - surface to start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            self._server.close()
-            loop.run_until_complete(self._server.wait_closed())
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
     # -- request handling ------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line.strip() == b"":
-                    break
-                parts = request_line.decode("latin-1").split()
-                if len(parts) < 3:
+                try:
+                    head = await _read_head(reader)
+                except ValueError as exc:
+                    # The rest of the request cannot be found after a bad
+                    # head, so these replies close the connection.
                     writer.write(_http_response(
-                        400, _json_bytes({"error": "malformed request line"}),
+                        400, _json_bytes({"error": str(exc)}),
                         "application/json", keep_alive=False,
                     ))
                     await writer.drain()
                     break
-                method, target = parts[0].upper(), parts[1]
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if not line or line in (b"\r\n", b"\n"):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                # The body's end is unknown after a bad length, so these
-                # replies close the connection.
-                raw_length = headers.get("content-length", "0") or "0"
-                length = int(raw_length) if raw_length.isdecimal() else -1
-                if not 0 <= length <= _MAX_BODY_BYTES:
-                    error = "body too large" if length > 0 else "bad Content-Length"
-                    writer.write(_http_response(
-                        400, _json_bytes({"error": error}),
-                        "application/json", keep_alive=False,
-                    ))
-                    await writer.drain()
+                if head is None:
                     break
+                method, target, headers, length = head
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
                 status, payload, content_type = await self._route(method, target, body)
@@ -203,7 +213,15 @@ class GatewayHTTPServer:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
+        except asyncio.CancelledError:
+            # close() cancels the connections it ends.  Ending quietly
+            # keeps the task from finishing cancelled, which asyncio
+            # 3.11's done-callback for server connections reports as an
+            # error; any other cancellation propagates.
+            if task in self._connections:
+                raise
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -213,7 +231,6 @@ class GatewayHTTPServer:
     async def _route(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, bytes, str]:
-        loop = asyncio.get_running_loop()
         path = target.split("?", 1)[0]
         if method == "POST" and path == "/query":
             try:
@@ -225,25 +242,25 @@ class GatewayHTTPServer:
                     "application/json",
                 )
             try:
-                response = await loop.run_in_executor(
-                    None, self.gateway.ask, name, db_id, question, deadline_s
+                (response,) = await self.gateway._serve(
+                    [ServeRequest(name, db_id, question, deadline_s)]
                 )
             except GatewayError as exc:
                 return 500, _json_bytes({"error": str(exc)}), "application/json"
             return 200, _json_bytes(response_to_dict(response)), "application/json"
         if method == "GET" and path == "/healthz":
             try:
-                health = await loop.run_in_executor(None, self.gateway.healthz)
+                health = await self.gateway._healthz()
             except GatewayError as exc:
                 return 503, _json_bytes({"error": str(exc)}), "application/json"
-            status = 200 if health.get("status") == "ok" else 503
+            status = 200 if health["status"] == "ok" else 503
             return status, _json_bytes(health), "application/json"
         if method == "GET" and path == "/metrics":
             try:
-                text = await loop.run_in_executor(None, self.gateway.metrics_text)
+                export = await self.gateway._metrics_export()
             except GatewayError as exc:
                 return 503, _json_bytes({"error": str(exc)}), "application/json"
-            return 200, text.encode("utf-8"), "text/plain; version=0.0.4"
+            return 200, render_prometheus(export).encode("utf-8"), "text/plain; version=0.0.4"
         return (
             404,
             _json_bytes({"error": f"no route for {method} {path}"}),
@@ -270,22 +287,34 @@ class GatewayHTTPClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        try:
+            self._conn.request(method, path, body=body, headers=headers)
+            response = self._conn.getresponse()
+            return response.status, response.read()
+        except (http.client.HTTPException, OSError):
+            # A half-done exchange leaves the connection unusable: a late
+            # reply must not answer the next request.
+            self._conn.close()
+            raise
+
     def _request(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, bytes]:
         headers = {"Content-Type": "application/json"} if body else {}
         with self._lock:
+            reused = self._conn.sock is not None
             try:
-                self._conn.request(method, path, body=body, headers=headers)
-                response = self._conn.getresponse()
-                return response.status, response.read()
-            except (http.client.HTTPException, OSError):
-                # One reconnect: the server may have closed an idle
-                # keep-alive connection between requests.
-                self._conn.close()
-                self._conn.request(method, path, body=body, headers=headers)
-                response = self._conn.getresponse()
-                return response.status, response.read()
+                return self._exchange(method, path, body, headers)
+            except (ConnectionResetError, BrokenPipeError):
+                # ``RemoteDisconnected`` is a ``ConnectionResetError``.  Only
+                # a reused connection is retried, once: the server may have
+                # closed it while idle.  A timeout is never retried.
+                if not reused:
+                    raise
+                return self._exchange(method, path, body, headers)
 
     def query(
         self, method: str, db_id: str, question: str,

@@ -7,13 +7,23 @@ hashes the canonical form so a record can be checked for bit-identity
 against a stored digest (``perfbench`` checks every returned record
 this way).
 
+Parent and shard talk over a stream socket in frames: an 8-byte
+big-endian payload length, then the payload, a pickle.  The worker
+reads and writes frames with blocking calls (:func:`recv_frame`,
+:func:`send_frame`); the parent's event loop encodes with
+:func:`encode_frame` and cuts its receive buffer with
+:func:`decode_frames`.  Both ends are this program, so unpickling a
+frame runs only code this program wrote.
+
 Inputs/outputs: :class:`~repro.core.metrics.EvaluationRecord` /
 :class:`~repro.serve.engine.ServeResponse` objects in; sorted-key
 JSON-compatible dicts and hex digests out.  Two records are equal iff
-their canonical dicts are equal iff their digests are equal.
+their canonical dicts are equal iff their digests are equal.  Frames:
+any picklable message in, ``bytes`` out, and back.
 
 Thread/process safety: pure functions, no shared state; safe from any
-thread or process.
+thread or process.  :func:`decode_frames` consumes the buffer it is
+given, which belongs to its one caller.
 """
 
 from __future__ import annotations
@@ -21,10 +31,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pickle
+import socket
+import struct
 from enum import Enum
 
 from repro.core.metrics import EvaluationRecord
 from repro.serve.engine import ServeResponse
+
+_FRAME_HEADER = struct.Struct("!Q")
 
 
 def record_to_dict(record: EvaluationRecord) -> dict:
@@ -67,3 +82,50 @@ def response_to_dict(response: ServeResponse) -> dict:
         "cached": response.cached,
         "record": None if response.record is None else record_to_dict(response.record),
     }
+
+
+def encode_frame(message: object) -> bytes:
+    """One frame: the 8-byte length of the pickled ``message``, then the pickle."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return _FRAME_HEADER.pack(len(payload)) + payload
+
+
+def send_frame(sock: socket.socket, message: object) -> None:
+    """Write one frame to a blocking socket."""
+    sock.sendall(encode_frame(message))
+
+
+def recv_frame(sock: socket.socket) -> object:
+    """Read one frame from a blocking socket; ``EOFError`` once the peer closed."""
+    (size,) = _FRAME_HEADER.unpack(_recv_exactly(sock, _FRAME_HEADER.size))
+    return pickle.loads(_recv_exactly(sock, size))
+
+
+def _recv_exactly(sock: socket.socket, size: int) -> bytearray:
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    received = 0
+    while received < size:
+        count = sock.recv_into(view[received:])
+        if count == 0:
+            raise EOFError("the peer closed the stream")
+        received += count
+    return buffer
+
+
+def decode_frames(buffer: bytearray) -> list:
+    """Remove every complete frame from the front of ``buffer``; their messages.
+
+    A partial frame stays in ``buffer`` until more bytes arrive.
+    """
+    messages = []
+    start = 0
+    while len(buffer) - start >= _FRAME_HEADER.size:
+        (size,) = _FRAME_HEADER.unpack_from(buffer, start)
+        end = start + _FRAME_HEADER.size + size
+        if len(buffer) < end:
+            break
+        messages.append(pickle.loads(buffer[start + _FRAME_HEADER.size:end]))
+        start = end
+    del buffer[:start]
+    return messages

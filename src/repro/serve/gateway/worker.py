@@ -15,28 +15,34 @@ parallel evaluator uses), derives its owned ``db_id`` slice from the
 shared :class:`~repro.serve.gateway.ring.HashRing` parameters, and runs
 a :class:`~repro.serve.engine.ServingEngine` restricted to that slice
 (``ServeConfig.db_ids``) under its own ambient tracer.  The parent
-talks to it over a duplex pipe with ``(op, batch_id, ...)`` tuples;
-every request gets a ``(batch_id, ("ok" | "error", payload))`` reply.
+talks to it over its end of a socket pair, in the frames of
+:mod:`repro.serve.gateway.wire`, with ``(op, batch_id, ...)`` tuples;
+every request gets a ``(batch_id, ("ok" | "error", payload))`` reply,
+in the order the requests arrived.
 
-Inputs/outputs: pipe messages in (``serve`` / ``apply`` /
-``invalidate`` / ``stats`` / ``metrics`` / ``ping`` / ``shutdown``);
-pickled :class:`~repro.serve.engine.ServeResponse` lists, counter
-dicts, or registry exports out.
+Inputs/outputs: frames in (``serve`` / ``apply`` / ``invalidate`` /
+``stats`` / ``metrics`` / ``ping`` / ``shutdown``); pickled
+:class:`~repro.serve.engine.ServeResponse` lists, counter dicts, or
+registry exports out.
 
 Thread/process safety: ``worker_main`` owns its process and services
-the pipe from one loop; the parent must serialize sends per worker
-(the cluster holds a per-worker send lock).
+the socket from one loop with blocking reads and writes.  The parent
+never blocks on the socket: its event loop reads every reply as it
+arrives, so a worker's large reply cannot stall behind a large
+request.
 """
 
 from __future__ import annotations
 
 import os
+import socket
 from dataclasses import replace
 
 from repro.datagen.benchmark import BenchmarkConfig, build_benchmark
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
+from repro.serve.gateway.wire import recv_frame, send_frame
 from repro.utils.cache import caches_enabled, set_caches_enabled
 
 
@@ -46,7 +52,7 @@ def owned_db_ids(dataset_db_ids: list[str], shard_id: int, ring: HashRing) -> li
 
 
 def worker_main(
-    conn,
+    sock: socket.socket,
     shard_id: int,
     shards: int,
     vnodes: int,
@@ -67,15 +73,18 @@ def worker_main(
         engine = ServingEngine(dataset, config)
         engine.start()
         try:
-            _serve_loop(conn, engine, dataset, tracer, shard_id, owned)
+            _serve_loop(sock, engine, dataset, tracer, shard_id, owned)
         finally:
             engine.close()
-            conn.close()
+            sock.close()
 
 
-def _serve_loop(conn, engine, dataset, tracer, shard_id, owned) -> None:
+def _serve_loop(sock, engine, dataset, tracer, shard_id, owned) -> None:
     while True:
-        message = conn.recv()
+        try:
+            message = recv_frame(sock)
+        except EOFError:
+            return  # the gateway closed its end
         op = message[0]
         if op == "shutdown":
             return
@@ -83,9 +92,9 @@ def _serve_loop(conn, engine, dataset, tracer, shard_id, owned) -> None:
         try:
             payload = _dispatch(message, engine, dataset, tracer, shard_id, owned)
         except Exception as exc:  # noqa: BLE001 - worker must keep serving
-            conn.send((batch_id, ("error", f"{type(exc).__name__}: {exc}")))
+            send_frame(sock, (batch_id, ("error", f"{type(exc).__name__}: {exc}")))
         else:
-            conn.send((batch_id, ("ok", payload)))
+            send_frame(sock, (batch_id, ("ok", payload)))
 
 
 def _dispatch(message, engine, dataset, tracer, shard_id, owned):

@@ -14,9 +14,17 @@ surface.  The memo switch's trip across the spawn boundary is checked in
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -29,6 +37,7 @@ from repro.serve import (
     HashRing,
     ServeConfig,
     ServeRequest,
+    ServeStatus,
     ShardedGateway,
     WorkloadSpec,
     build_workload,
@@ -42,6 +51,7 @@ from repro.serve.gateway import (
     response_to_dict,
     stable_hash,
 )
+from repro.serve.gateway.cluster import DEADLINE_GRACE_S, HEALTH_TIMEOUT_S
 from repro.methods.zoo import build_method
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
 
@@ -445,29 +455,37 @@ class TestGatewayHTTP:
             try:
                 conn.request("GET", "/nope")
                 assert conn.getresponse().status == 404
-                for body in bad_bodies:
-                    conn = http.client.HTTPConnection(
-                        server.host, server.port, timeout=10
-                    )
+            finally:
+                conn.close()
+            for body in bad_bodies:
+                conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+                try:
                     conn.request(
                         "POST", "/query", body=body,
                         headers={"Content-Type": "application/json"},
                     )
                     assert conn.getresponse().status == 400, body
+                finally:
                     conn.close()
-            finally:
-                conn.close()
-            # http.client cannot send a malformed Content-Length.
-            for length in (b"abc", b"-5"):
+            # Sent raw: a malformed Content-Length, and a header line and a
+            # request line past the server's 64 KiB line limit.
+            raw_requests = [
+                *(
+                    b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                    for length in (b"abc", b"-5")
+                ),
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"x" * 70_000 + b"\r\n\r\n",
+                b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            ]
+            for raw in raw_requests:
                 with socket.create_connection(
                     (server.host, server.port), timeout=10
                 ) as sock:
-                    sock.sendall(
-                        b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
-                        b"Content-Length: " + length + b"\r\n\r\n"
-                    )
+                    sock.sendall(raw)
                     reply = sock.recv(4096)
-                assert reply.startswith(b"HTTP/1.1 400 "), (length, reply)
+                assert reply.startswith(b"HTTP/1.1 400 "), (raw[:60], reply)
+                assert b"Connection: close" in reply
             # The server survives bad input and keeps serving; none of it
             # reached a shard.
             with GatewayHTTPClient(server.host, server.port) as client:
@@ -475,6 +493,199 @@ class TestGatewayHTTP:
                 payload = client.query(**valid)
         assert payload["status"] == "ok"
         assert gateway.stats.worker_errors == errors_before
+
+    def test_close_ends_open_keep_alive_connections(self):
+        # Run apart under asyncio's debug mode, where a connection left
+        # open by close() shows as a pending task destroyed with the loop
+        # and as unclosed-socket warnings.
+        script = (
+            "from repro.serve import GatewayHTTPClient, GatewayHTTPServer,"
+            " ServeConfig, ShardedGateway\n"
+            "from tests.conftest import small_benchmark_config\n"
+            "config = ServeConfig(methods=('C3SQL',))\n"
+            "with ShardedGateway(small_benchmark_config(), config, shards=1) as gateway:\n"
+            "    server = GatewayHTTPServer(gateway).start()\n"
+            "    client = GatewayHTTPClient(server.host, server.port)\n"
+            "    assert client.healthz()['status'] == 'ok'\n"
+            "    server.close()  # the client's keep-alive connection is still open\n"
+            "client.close()\n"
+            "print('closed')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "closed"
+        for complaint in (
+            "Task was destroyed", "Event loop is closed", "ResourceWarning",
+            "unclosed", "Exception ignored",
+        ):
+            assert complaint not in result.stderr, result.stderr
+
+    def test_client_does_not_retry_a_timed_out_request(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            client = GatewayHTTPClient(host, port, timeout_s=0.5)
+            started = time.monotonic()
+            with client, pytest.raises(TimeoutError):
+                client.healthz()  # the listener accepts and never answers
+            elapsed = time.monotonic() - started
+            listener.settimeout(0.2)
+            connections = []
+            try:
+                while True:
+                    connections.append(listener.accept()[0])
+            except TimeoutError:
+                pass
+            finally:
+                for conn in connections:
+                    conn.close()
+        assert len(connections) == 1
+        assert elapsed < 0.95
+
+    def test_client_retries_once_on_a_reused_connection_the_server_closed(self):
+        reply = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 16\r\n\r\n{\"status\": \"ok\"}"
+        )
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10)
+
+            def answer_once_per_connection() -> None:
+                for _ in range(2):
+                    conn, _ = listener.accept()
+                    with conn:
+                        conn.recv(65536)
+                        conn.sendall(reply)  # then close the keep-alive connection
+
+            server = threading.Thread(target=answer_once_per_connection)
+            server.start()
+            try:
+                with GatewayHTTPClient(*listener.getsockname(), timeout_s=10) as client:
+                    assert client.healthz() == {"status": "ok"}
+                    assert client.healthz() == {"status": "ok"}
+            finally:
+                server.join(timeout=20)
+            assert not server.is_alive()
+
+
+def _first_keys_by_shard(gateway, workload) -> dict[int, list]:
+    """The workload's distinct requests, grouped by owner shard."""
+    by_shard: dict[int, list] = {}
+    seen: set = set()
+    for request in workload:
+        if request.key not in seen:
+            seen.add(request.key)
+            by_shard.setdefault(gateway.owner(request.db_id), []).append(request)
+    return by_shard
+
+
+def _healthz_status(server) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestShardFaults:
+    """A dead or stuck shard fails its own slice, typed and within a bound.
+
+    Each test signals only the shard processes of its own gateway.
+    """
+
+    def test_killed_shard_fails_typed_and_the_other_keeps_serving(
+        self, workload, offline_records
+    ):
+        with ShardedGateway(
+            small_benchmark_config(), gateway_serve_config(), shards=2
+        ) as gw, GatewayHTTPServer(gw) as server:
+            by_shard = _first_keys_by_shard(gw, workload)
+            victim, survivor = by_shard[1][0], by_shard[0][0]
+            pids = [entry["pid"] for entry in gw.healthz()["shards"]]
+            errors_before = gw.stats.worker_errors
+            os.kill(pids[1], signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(GatewayError):
+                gw.ask(victim.method, victim.db_id, victim.question)
+            with GatewayHTTPClient(server.host, server.port, timeout_s=30) as client:
+                with pytest.raises(GatewayError, match="HTTP 500"):
+                    client.query(victim.method, victim.db_id, victim.question)
+                payload = client.query(survivor.method, survivor.db_id, survivor.question)
+            status, health = _healthz_status(server)
+            assert time.monotonic() - started < HEALTH_TIMEOUT_S + 5
+            assert payload["record"] == record_to_dict(offline_records[survivor.key])
+            assert status == 503 and health["status"] == "degraded"
+            assert "error" in health["shards"][1] and "pid" in health["shards"][0]
+            # The direct call, the HTTP query and the /healthz ping.
+            assert gw.stats.worker_errors == errors_before + 3
+        live = {process.pid for process in multiprocessing.active_children()}
+        assert not live & set(pids)
+
+    def test_stopped_shard_times_out_typed_then_recovers(
+        self, workload, offline_records
+    ):
+        with ShardedGateway(
+            small_benchmark_config(), gateway_serve_config(), shards=2
+        ) as gw, GatewayHTTPServer(gw) as server:
+            by_shard = _first_keys_by_shard(gw, workload)
+            late, after, survivor = by_shard[1][0], by_shard[1][1], by_shard[0][0]
+            stopped = gw.healthz()["shards"][1]["pid"]
+            with GatewayHTTPClient(server.host, server.port, timeout_s=30) as client:
+                os.kill(stopped, signal.SIGSTOP)
+                try:
+                    started = time.monotonic()
+                    timed_out = client.query(
+                        late.method, late.db_id, late.question, deadline_s=0.5
+                    )
+                    assert time.monotonic() - started < 0.5 + DEADLINE_GRACE_S + 1.0
+                    started = time.monotonic()
+                    status, health = _healthz_status(server)
+                    direct = gw.healthz()
+                    assert time.monotonic() - started < 2 * HEALTH_TIMEOUT_S + 2.0
+                    served = client.query(
+                        survivor.method, survivor.db_id, survivor.question
+                    )
+                finally:
+                    os.kill(stopped, signal.SIGCONT)
+                # The shard now answers the calls above late; their
+                # replies are dropped, and this one gets its own record.
+                recovered = client.query(after.method, after.db_id, after.question)
+                assert client.healthz()["status"] == "ok"
+        assert timed_out["status"] == "timeout" and timed_out["record"] is None
+        assert status == 503 and health["status"] == "degraded"
+        assert direct["status"] == "degraded" and "error" in direct["shards"][1]
+        assert served["record"] == record_to_dict(offline_records[survivor.key])
+        assert recovered["record"] == record_to_dict(offline_records[after.key])
+
+    def test_frames_larger_than_the_socket_buffer_pipeline_in_order(
+        self, gateway, workload
+    ):
+        # 8 requests of 64 KB per frame, in both directions; no shard knows
+        # these questions, so each reply is an ERROR that echoes its request.
+        db_ids = sorted({request.db_id for request in workload})
+        requests = [
+            ServeRequest(METHOD, db_ids[i % len(db_ids)], f"{i:03d} " + "x" * 65_536)
+            for i in range(64)
+        ]
+        started = time.monotonic()
+        responses = gateway.serve_many(requests, chunk_size=8)
+        assert time.monotonic() - started < 60
+        assert len({gateway.owner(db_id) for db_id in db_ids}) == 2
+        for request, response in zip(requests, responses, strict=True):
+            assert response.status is ServeStatus.ERROR
+            assert response.request == request
+
+    def test_blocking_call_on_the_loop_thread_raises(self, gateway):
+        async def call_from_the_loop() -> None:
+            with pytest.raises(GatewayError, match="own loop thread"):
+                gateway.healthz()
+
+        asyncio.run_coroutine_threadsafe(call_from_the_loop(), gateway._loop).result(10)
 
 
 class TestGatewayLifecycle:

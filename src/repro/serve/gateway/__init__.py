@@ -18,6 +18,7 @@ from repro.serve.gateway.http import GatewayHTTPClient, GatewayHTTPServer
 from repro.serve.gateway.ring import DEFAULT_VNODES, HashRing, stable_hash
 from repro.serve.gateway.wire import (
     canonical_record_json,
+    query_body,
     record_digest,
     record_to_dict,
     response_to_dict,
@@ -39,4 +40,5 @@ __all__ = [
     "record_digest",
     "canonical_record_json",
     "response_to_dict",
+    "query_body",
 ]

@@ -22,13 +22,17 @@ written to it without blocking, replies are read as they arrive and
 resolve the future of their batch id.  Every wait has a bound, a module
 constant below; a reply that comes after its call gave up is dropped by
 batch id.  :class:`~repro.serve.gateway.http.GatewayHTTPServer` runs on
-the same loop and awaits shard replies directly.
+the same loop and awaits shard replies directly: ``/query`` goes through
+the same routing coroutine as :meth:`ShardedGateway.serve_many`, asking
+the shard for the finished HTTP body instead of the response object, so
+the loop decodes no response and encodes no record.
 
 Inputs/outputs: a picklable
 :class:`~repro.datagen.benchmark.BenchmarkConfig` +
 :class:`~repro.serve.engine.ServeConfig` in;
-:class:`~repro.serve.engine.ServeResponse` lists, per-shard stats
-dicts, and merged Prometheus-ready metric exports out.
+:class:`~repro.serve.engine.ServeResponse` lists (``/query`` bodies as
+bytes for the HTTP front end), per-shard stats dicts, and merged
+Prometheus-ready metric exports out.
 
 Thread/process safety: the public methods are synchronous wrappers that
 run a coroutine on the loop and wait for it, so they are safe from any
@@ -55,7 +59,7 @@ from repro.obs.prometheus import merge_metric_exports, render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import ServeConfig, ServeRequest, ServeResponse, ServeStatus
 from repro.serve.gateway.ring import DEFAULT_VNODES, HashRing
-from repro.serve.gateway.wire import decode_frames, encode_frame
+from repro.serve.gateway.wire import decode_frames, encode_frame, query_body
 from repro.serve.gateway.worker import worker_main
 from repro.utils.cache import caches_enabled
 
@@ -397,9 +401,17 @@ class ShardedGateway:
         return min(CALL_TIMEOUT_S, max(0.0, *deadlines) + DEADLINE_GRACE_S), True
 
     async def _serve(
-        self, requests: list[ServeRequest], chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> list[ServeResponse]:
-        """:meth:`serve_many` on the loop; ``/query`` awaits it directly."""
+        self,
+        requests: list[ServeRequest],
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        bodies: bool = False,
+    ) -> list[ServeResponse] | list[bytes]:
+        """:meth:`serve_many` on the loop; ``/query`` awaits it directly.
+
+        With ``bodies`` each result is the finished ``/query`` body
+        (:func:`~repro.serve.gateway.wire.query_body`), built by the
+        owner shard, so the loop forwards bytes it never decodes.
+        """
         started = time.perf_counter()
         by_shard: dict[int, list[int]] = {}
         for index, request in enumerate(requests):
@@ -423,7 +435,9 @@ class ShardedGateway:
                         (r.method, r.db_id, r.question, r.deadline_s)
                         for r in (requests[index] for index in chunk)
                     ]
-                    in_flight.append((shard, chunk, *self._send(shard, "serve", items)))
+                    in_flight.append(
+                        (shard, chunk, *self._send(shard, "serve", items, bodies))
+                    )
             for shard, chunk, batch_id, future in in_flight:
                 bound, answer_timeout = self._wait_bound([requests[i] for i in chunk])
                 try:
@@ -432,10 +446,11 @@ class ShardedGateway:
                     if answer_timeout and isinstance(exc, _ShardTimeout):
                         elapsed = time.perf_counter() - started
                         for index in chunk:
-                            results[index] = ServeResponse(
+                            response = ServeResponse(
                                 request=requests[index], status=ServeStatus.TIMEOUT,
                                 error=f"gateway: {exc}", total_s=elapsed,
                             )
+                            results[index] = query_body(response) if bodies else response
                         continue
                     self._worker_error(shard.shard_id)
                     failures.append(str(exc))

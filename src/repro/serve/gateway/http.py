@@ -9,18 +9,24 @@ also owns the shard sockets:
   "deadline_s"?}`` in, the canonical
   :func:`~repro.serve.gateway.wire.response_to_dict` envelope out
   (typed ``ok`` / ``timeout`` / ``rejected`` / ``error`` statuses, never
-  a hang).  The handler awaits the owner shard's reply on the loop; a
-  request with a deadline that its shard misses is answered ``timeout``
-  by the gateway.  Malformed input gets HTTP 400 and never reaches a
-  shard.
+  a hang).  The owner shard builds the finished body
+  (:func:`~repro.serve.gateway.wire.query_body`) and the handler
+  forwards its bytes without decoding them; a request with a deadline
+  that its shard misses is answered ``timeout`` by the gateway.
+  Malformed input gets HTTP 400 and never reaches a shard.
 * ``GET /healthz`` — liveness JSON; HTTP 200 when every shard answers
   its ping in time, 503 when degraded.
 * ``GET /metrics`` — the merged shard + parent metric state in
   Prometheus text exposition format.
 
 Every handler is a coroutine on the gateway's loop and every wait it
-makes is one of the gateway's bounded waits; connections are
-keep-alive until the client closes or the server does.
+makes is one of the gateway's bounded waits.  A request body is framed
+by ``Content-Length`` only: a ``Transfer-Encoding`` header gets 501 and
+conflicting ``Content-Length`` values get 400, both before any body is
+read and with the connection closed.  An HTTP/1.1 connection persists
+unless the request says ``Connection: close``, an HTTP/1.0 one only if
+it says ``Connection: keep-alive``; otherwise the reply says
+``Connection: close`` and the server closes it.
 :class:`GatewayHTTPClient` is the matching :mod:`http.client` helper
 used by the benchmark and tests.
 
@@ -46,12 +52,24 @@ from repro.errors import GatewayError
 from repro.obs.prometheus import render_prometheus
 from repro.serve.engine import ServeRequest
 from repro.serve.gateway.cluster import CLOSE_TIMEOUT_S, ShardedGateway
-from repro.serve.gateway.wire import response_to_dict
 
 _MAX_BODY_BYTES = 1 << 20
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            500: "Internal Server Error", 503: "Service Unavailable"}
+            500: "Internal Server Error", 501: "Not Implemented",
+            503: "Service Unavailable"}
+
+
+class _BadHead(Exception):
+    """A request head the server cannot serve, with the HTTP status to answer.
+
+    The rest of the request cannot be found after it, so the reply
+    closes the connection.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _http_response(
@@ -97,33 +115,57 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         return await reader.readline()
     except ValueError:  # past the reader's 64 KiB line limit
-        raise ValueError("request line or header line too long") from None
+        raise _BadHead(400, "request line or header line too long") from None
+
+
+def _body_length(headers: dict[str, str]) -> int:
+    """The body length that frames the request; raises :class:`_BadHead`
+    when the head does not frame it unambiguously."""
+    if "transfer-encoding" in headers:
+        # This server implements no transfer coding (chunked included).
+        raise _BadHead(501, "Transfer-Encoding is not supported")
+    values = {value.strip() for value in headers.get("content-length", "0").split(",")}
+    if len(values) > 1:
+        raise _BadHead(400, "conflicting Content-Length values")
+    raw_length = values.pop() or "0"
+    length = int(raw_length) if raw_length.isdecimal() else -1
+    if not 0 <= length <= _MAX_BODY_BYTES:
+        raise _BadHead(400, "body too large" if length > 0 else "bad Content-Length")
+    return length
+
+
+def _persists(version: str, headers: dict[str, str]) -> bool:
+    """Whether the connection stays open after this exchange (RFC 9112 §9.3):
+    HTTP/1.0 only on ``keep-alive``, later versions unless ``close``."""
+    tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
 
 
 async def _read_head(
     reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str], int] | None:
-    """``(method, target, headers, body length)`` of the next request, or
-    ``None`` once the client is done; raises ``ValueError`` naming what is
-    malformed."""
+) -> tuple[str, str, int, bool] | None:
+    """``(method, target, body length, keep-alive)`` of the next request,
+    or ``None`` once the client is done; raises :class:`_BadHead` naming
+    what cannot be served."""
     request_line = await _read_line(reader)
     if not request_line or request_line.strip() == b"":
         return None
     parts = request_line.decode("latin-1").split()
-    if len(parts) < 3:
-        raise ValueError("malformed request line")
+    if len(parts) != 3:
+        raise _BadHead(400, "malformed request line")
+    method, target, version = parts
     headers: dict[str, str] = {}
     while True:
         line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    raw_length = headers.get("content-length", "0") or "0"
-    length = int(raw_length) if raw_length.isdecimal() else -1
-    if not 0 <= length <= _MAX_BODY_BYTES:
-        raise ValueError("body too large" if length > 0 else "bad Content-Length")
-    return parts[0].upper(), parts[1], headers, length
+        name, value = name.strip().lower(), value.strip()
+        # A repeated field is one comma-separated list (RFC 9110 §5.3).
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    return method.upper(), target, _body_length(headers), _persists(version, headers)
 
 
 class GatewayHTTPServer:
@@ -192,20 +234,17 @@ class GatewayHTTPServer:
             while True:
                 try:
                     head = await _read_head(reader)
-                except ValueError as exc:
-                    # The rest of the request cannot be found after a bad
-                    # head, so these replies close the connection.
+                except _BadHead as exc:
                     writer.write(_http_response(
-                        400, _json_bytes({"error": str(exc)}),
+                        exc.status, _json_bytes({"error": str(exc)}),
                         "application/json", keep_alive=False,
                     ))
                     await writer.drain()
                     break
                 if head is None:
                     break
-                method, target, headers, length = head
+                method, target, length, keep_alive = head
                 body = await reader.readexactly(length) if length else b""
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
                 status, payload, content_type = await self._route(method, target, body)
                 writer.write(_http_response(status, payload, content_type, keep_alive))
                 await writer.drain()
@@ -242,12 +281,12 @@ class GatewayHTTPServer:
                     "application/json",
                 )
             try:
-                (response,) = await self.gateway._serve(
-                    [ServeRequest(name, db_id, question, deadline_s)]
+                (payload,) = await self.gateway._serve(
+                    [ServeRequest(name, db_id, question, deadline_s)], bodies=True
                 )
             except GatewayError as exc:
                 return 500, _json_bytes({"error": str(exc)}), "application/json"
-            return 200, _json_bytes(response_to_dict(response)), "application/json"
+            return 200, payload, "application/json"
         if method == "GET" and path == "/healthz":
             try:
                 health = await self.gateway._healthz()

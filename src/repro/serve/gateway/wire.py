@@ -5,7 +5,12 @@ to plain dicts (enums as their ``.value``), serve responses carry the
 record plus the typed status/error envelope, and ``record_digest``
 hashes the canonical form so a record can be checked for bit-identity
 against a stored digest (``perfbench`` checks every returned record
-this way).
+this way).  :func:`query_body` is the one encoding of a ``/query``
+body, the sorted-key JSON of :func:`response_to_dict`; the owner shard
+calls it, so the gateway's loop forwards the body as bytes.  Bodies of
+response-cache hits are memoized (bounded by
+``DEFAULT_RESPONSE_CACHE_SIZE`` entries of program-made text;
+:func:`~repro.utils.cache.caches_disabled` bypasses the memo).
 
 Parent and shard talk over a stream socket in frames: an 8-byte
 big-endian payload length, then the payload, a pickle.  The worker
@@ -17,13 +22,14 @@ frame runs only code this program wrote.
 
 Inputs/outputs: :class:`~repro.core.metrics.EvaluationRecord` /
 :class:`~repro.serve.engine.ServeResponse` objects in; sorted-key
-JSON-compatible dicts and hex digests out.  Two records are equal iff
-their canonical dicts are equal iff their digests are equal.  Frames:
-any picklable message in, ``bytes`` out, and back.
+JSON-compatible dicts, ``/query`` bodies and hex digests out.  Two
+records are equal iff their canonical dicts are equal iff their digests
+are equal.  Frames: any picklable message in, ``bytes`` out, and back.
 
-Thread/process safety: pure functions, no shared state; safe from any
-thread or process.  :func:`decode_frames` consumes the buffer it is
-given, which belongs to its one caller.
+Thread/process safety: pure functions; the one shared state, the body
+memo, is a thread-safe ``functools.lru_cache``.  Safe from any thread
+or process.  :func:`decode_frames` consumes the buffer it is given,
+which belongs to its one caller.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ import struct
 from enum import Enum
 
 from repro.core.metrics import EvaluationRecord
-from repro.serve.engine import ServeResponse
+from repro.serve.cache import DEFAULT_RESPONSE_CACHE_SIZE
+from repro.serve.engine import ServeRequest, ServeResponse, ServeStatus
+from repro.utils.cache import gated_lru_cache
 
 _FRAME_HEADER = struct.Struct("!Q")
 
@@ -82,6 +90,42 @@ def response_to_dict(response: ServeResponse) -> dict:
         "cached": response.cached,
         "record": None if response.record is None else record_to_dict(response.record),
     }
+
+
+def query_body(response: ServeResponse) -> bytes:
+    """The ``/query`` HTTP body of ``response``: its sorted-key
+    :func:`response_to_dict` JSON, UTF-8 encoded.
+
+    A response-cache hit asked in its record's own question text goes
+    through a memo keyed on every field the body holds, so a repeated
+    hit encodes nothing.  Every other body is encoded directly: fresh
+    computations, errors and timeouts seldom repeat, and a body that
+    echoes text of the client's choosing (an unknown question, a
+    whitespace or case variant) would let requests, not the datasets,
+    decide how much memory the memo holds.
+    """
+    request = response.request
+    memoize = response.cached and request.question == response.record.question
+    encode = _cached_query_body if memoize else _query_body
+    return encode(
+        request.method, request.db_id, request.question,
+        response.status, response.error, response.cached, response.record,
+    )
+
+
+def _query_body(
+    method: str, db_id: str, question: str, status: ServeStatus,
+    error: str | None, cached: bool, record: EvaluationRecord | None,
+) -> bytes:
+    response = ServeResponse(
+        ServeRequest(method, db_id, question), status, record, error, cached=cached
+    )
+    return json.dumps(response_to_dict(response), sort_keys=True).encode("utf-8")
+
+
+# Records are frozen and the key holds everything the body holds, so a
+# memoized body can never be stale.
+_cached_query_body = gated_lru_cache(maxsize=DEFAULT_RESPONSE_CACHE_SIZE)(_query_body)
 
 
 def encode_frame(message: object) -> bytes:

@@ -21,9 +21,15 @@ every request gets a ``(batch_id, ("ok" | "error", payload))`` reply,
 in the order the requests arrived.
 
 Inputs/outputs: frames in (``serve`` / ``apply`` / ``invalidate`` /
-``stats`` / ``metrics`` / ``ping`` / ``shutdown``); pickled
-:class:`~repro.serve.engine.ServeResponse` lists, counter dicts, or
-registry exports out.
+``stats`` / ``metrics`` / ``ping`` / ``shutdown``); counter dicts,
+registry exports, or the replies to ``serve``, which come in one of two
+forms.  A ``serve`` message is ``("serve", batch_id, items, bodies)``:
+with ``bodies`` false the reply is the
+:class:`~repro.serve.engine.ServeResponse` list (what
+:meth:`~repro.serve.gateway.cluster.ShardedGateway.serve_many`
+returns); with ``bodies`` true it is each response's finished ``/query``
+body (:func:`~repro.serve.gateway.wire.query_body`), so the gateway's
+loop forwards bytes and never decodes a response or a record.
 
 Thread/process safety: ``worker_main`` owns its process and services
 the socket from one loop with blocking reads and writes.  The parent
@@ -42,7 +48,7 @@ from repro.datagen.benchmark import BenchmarkConfig, build_benchmark
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
-from repro.serve.gateway.wire import recv_frame, send_frame
+from repro.serve.gateway.wire import query_body, recv_frame, send_frame
 from repro.utils.cache import caches_enabled, set_caches_enabled
 
 
@@ -100,11 +106,12 @@ def _serve_loop(sock, engine, dataset, tracer, shard_id, owned) -> None:
 def _dispatch(message, engine, dataset, tracer, shard_id, owned):
     op = message[0]
     if op == "serve":
-        _, _, items = message
-        return engine.serve([
+        _, _, items, bodies = message
+        responses = engine.serve([
             ServeRequest(method, db_id, question, deadline_s)
             for method, db_id, question, deadline_s in items
         ])
+        return [query_body(response) for response in responses] if bodies else responses
     if op == "apply":
         _, _, db_id, sql = message
         database = dataset.databases[db_id]

@@ -4,17 +4,21 @@ The contract: however a run is executed — the sequential
 :class:`~repro.core.evaluator.Evaluator`; the
 :class:`~repro.core.parallel.ParallelEvaluator` with one worker or with
 its process pool; the in-process
-:class:`~repro.serve.engine.ServingEngine`; or the
-:class:`~repro.serve.gateway.ShardedGateway` at 1 and at 2 shards — and
-whether the memo layers run or :func:`~repro.utils.cache.caches_disabled`
-bypasses them, every record equals one offline sequential reference.
+:class:`~repro.serve.engine.ServingEngine`; the
+:class:`~repro.serve.gateway.ShardedGateway` at 1 and at 2 shards; or
+``POST /query`` on a 2-shard gateway's
+:class:`~repro.serve.gateway.GatewayHTTPServer` — and whether the memo
+layers run or :func:`~repro.utils.cache.caches_disabled` bypasses them,
+every record equals one offline sequential reference (over HTTP: the
+body's ``record`` equals the reference's ``record_to_dict``).
 
 No memo ever changes a record, so records alone cannot show that the
 switch got lost on its way to a worker.  The traced in-process and
 process-pool cases therefore also count the stage spans' ``memo_hits``
 and ``prefix_hits``: none with caches off, some with caches on.  Gateway
 shards trace into their own registries, so those cases check the
-``caches`` value each shard reports on ``ping`` instead.
+``caches`` value each shard reports on ``ping`` (over HTTP, on
+``/healthz``) instead.
 
 The five methods cover all four decoders: greedy (DAILSQL), sampling
 (DAILSQL(SC)), beam (BRIDGE v2) and PICARD (T5-3B + PICARD), plus
@@ -32,12 +36,15 @@ from repro.core.parallel import ParallelEvaluator
 from repro.methods.zoo import build_method
 from repro.obs.trace import Tracer, get_tracer, tracing
 from repro.serve import (
+    GatewayHTTPClient,
+    GatewayHTTPServer,
     ServeConfig,
     ServeRequest,
     ServingEngine,
     ShardedGateway,
     question_index,
 )
+from repro.serve.gateway import record_to_dict
 from repro.utils.cache import caches_disabled
 
 from tests.conftest import small_benchmark_config
@@ -76,14 +83,24 @@ def _served_pairs(dataset, requests, responses):
     return pairs
 
 
+def _body_pairs(dataset, requests, bodies):
+    index = question_index(dataset)
+    pairs = []
+    for request, body in zip(requests, bodies, strict=True):
+        assert body["status"] == "ok", body["error"]
+        example = index[(request.db_id, request.question)]
+        pairs.append(((request.method, example.example_id), body["record"]))
+    return pairs
+
+
 def _serve_config():
     return ServeConfig(methods=METHODS, workers=2, seed=SEED)
 
 
 # Each mode runs under an ambient tracer and returns ``(pairs, evidence)``:
-# ``pairs`` holds one ((method, example id), record) per evaluation, and
-# ``evidence`` is the traced example spans, or each gateway shard's
-# ``caches`` flag.
+# ``pairs`` holds one ((method, example id), record) per evaluation (over
+# HTTP, the body's record dict), and ``evidence`` is the traced example
+# spans, or each gateway shard's ``caches`` flag.
 
 
 def run_sequential(dataset):
@@ -123,6 +140,20 @@ def gateway(shards):
     return run
 
 
+def run_gateway_http(dataset):
+    requests = _requests(dataset)
+    with ShardedGateway(small_benchmark_config(), _serve_config(), shards=2) as gw:
+        with GatewayHTTPServer(gw) as server:
+            with GatewayHTTPClient(server.host, server.port) as client:
+                bodies = [
+                    client.query(request.method, request.db_id, request.question)
+                    for request in requests
+                ]
+                flags = [entry["caches"] for entry in client.healthz()["shards"]]
+    assert len(flags) == 2
+    return _body_pairs(dataset, requests, bodies), flags
+
+
 MODES = {
     "sequential": run_sequential,
     "jobs1": parallel(jobs=1),
@@ -130,6 +161,7 @@ MODES = {
     "serving": run_serving,
     "gateway1": gateway(1),
     "gateway2": gateway(2),
+    "gateway_http": run_gateway_http,
 }
 
 
@@ -149,7 +181,10 @@ class TestModeIdentity:
                 pairs, evidence = MODES[mode](small_dataset)
         assert len(pairs) == len(reference)
         for key, record in pairs:
-            assert record == reference[key], (mode, key)
+            expected = reference[key]
+            if isinstance(record, dict):  # a /query body's record
+                expected = record_to_dict(expected)
+            assert record == expected, (mode, key)
         if mode.startswith("gateway"):
             assert evidence == [caches] * len(evidence)
             return

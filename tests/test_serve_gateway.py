@@ -15,6 +15,7 @@ surface.  The memo switch's trip across the spawn boundary is checked in
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import multiprocessing
@@ -38,6 +39,7 @@ from repro.serve import (
     ServeConfig,
     ServeRequest,
     ServeStatus,
+    ServingEngine,
     ShardedGateway,
     WorkloadSpec,
     build_workload,
@@ -46,18 +48,23 @@ from repro.serve import (
 from repro.serve.gateway import (
     canonical_record_json,
     owned_db_ids,
+    query_body,
     record_digest,
     record_to_dict,
     response_to_dict,
     stable_hash,
 )
+from repro.serve.gateway import cluster, wire
 from repro.serve.gateway.cluster import DEADLINE_GRACE_S, HEALTH_TIMEOUT_S
 from repro.methods.zoo import build_method
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
+from repro.utils.cache import caches_disabled
 
 from tests.conftest import edit_one_row_sql, small_benchmark_config
 
 METHOD = "C3SQL"
+# Quotes, backslashes and non-ASCII text: everything JSON has to escape.
+AWKWARD_QUESTION = 'Which "quoted" \\ back\\slash — naïve café 航班?'
 
 
 def gateway_serve_config(**overrides) -> ServeConfig:
@@ -242,6 +249,50 @@ class TestWireFormat:
         json.dumps(payload, default=str)  # JSON-safe end to end
         assert payload["db_id"] == record.db_id
 
+    def test_query_bodies_are_the_encoded_response_dicts(self, small_dataset, workload):
+        request = workload[0]
+        with ServingEngine(small_dataset, gateway_serve_config()) as engine:
+            (fresh,) = engine.serve([request])
+            (cached,) = engine.serve([request])
+            (shouted,) = engine.serve([
+                dataclasses.replace(request, question=f" {request.question.upper()} ")
+            ])
+            unknown, unserved, expired = engine.serve([
+                ServeRequest(METHOD, request.db_id, AWKWARD_QUESTION),
+                ServeRequest("NoSuchMethod", request.db_id, request.question),
+                dataclasses.replace(request, deadline_s=0),
+            ])
+        awkward = dataclasses.replace(
+            cached,
+            request=dataclasses.replace(cached.request, question=AWKWARD_QUESTION),
+            record=dataclasses.replace(cached.record, question=AWKWARD_QUESTION),
+        )
+        assert fresh.ok and not fresh.cached
+        assert cached.ok and cached.cached and shouted.cached
+        assert unknown.status is unserved.status is ServeStatus.ERROR
+        assert expired.status is ServeStatus.TIMEOUT
+        responses = [fresh, cached, shouted, unknown, unserved, expired, awkward]
+
+        def expected(response) -> bytes:
+            return json.dumps(response_to_dict(response), sort_keys=True).encode()
+
+        for response in responses:
+            assert query_body(response) == expected(response), response.status
+        # A repeated response-cache hit comes from the memo, byte for byte;
+        # a hit asked in other words than its record's is never memoized.
+        memo = wire._cached_query_body
+        hits = memo.cache_info().hits
+        assert query_body(awkward) == expected(awkward)
+        assert memo.cache_info().hits == hits + 1
+        size = memo.cache_info().currsize
+        assert query_body(shouted) == expected(shouted)
+        assert memo.cache_info().currsize == size
+        info = memo.cache_info()
+        with caches_disabled():
+            for response in responses:
+                assert query_body(response) == expected(response), response.status
+        assert memo.cache_info() == info
+
 
 class TestGatewayServing:
     def test_routing_matches_the_ring(self, gateway):
@@ -420,6 +471,39 @@ class TestGatewayHTTP:
         assert payload["status"] == "ok"
         assert payload == expected
 
+    def test_query_forwards_the_shards_body_bytes(
+        self, gateway, workload, monkeypatch
+    ):
+        # The loop decodes only the frame around the body: a list of bytes,
+        # never a response or a record, and sends those bytes unchanged.
+        decoded = []
+
+        def recording_decode_frames(buffer):
+            messages = wire.decode_frames(buffer)
+            decoded.extend(messages)
+            return messages
+
+        request = workload[0]
+        gateway.serve([request])  # a response-cache hit from here on
+        with GatewayHTTPServer(gateway) as server:
+            monkeypatch.setattr(cluster, "decode_frames", recording_decode_frames)
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                conn.request("POST", "/query", body=json.dumps({
+                    "method": request.method, "db_id": request.db_id,
+                    "question": request.question,
+                }).encode())
+                response = conn.getresponse()
+                body = response.read()
+            finally:
+                conn.close()
+            monkeypatch.undo()
+        assert response.status == 200
+        ((_, (kind, payload)),) = decoded
+        assert kind == "ok" and payload == [body]
+        (served,) = gateway.serve([request])
+        assert body == query_body(served)
+
     def test_healthz_and_metrics_endpoints(self, gateway, workload):
         with GatewayHTTPServer(gateway) as server:
             with GatewayHTTPClient(server.host, server.port) as client:
@@ -467,25 +551,39 @@ class TestGatewayHTTP:
                     assert conn.getresponse().status == 400, body
                 finally:
                     conn.close()
-            # Sent raw: a malformed Content-Length, and a header line and a
-            # request line past the server's 64 KiB line limit.
+            # Sent raw: a malformed Content-Length, a header line and a
+            # request line past the server's 64 KiB line limit, a request
+            # line of four words, and two ambiguous framings: a chunked
+            # body (no transfer coding is implemented) and two different
+            # Content-Length values.
+            query = json.dumps(valid).encode()
             raw_requests = [
                 *(
-                    b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
-                    b"Content-Length: " + length + b"\r\n\r\n"
+                    (b"400 Bad Request", b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n")
                     for length in (b"abc", b"-5")
                 ),
-                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"x" * 70_000 + b"\r\n\r\n",
-                b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                (b"400 Bad Request",
+                 b"GET /healthz HTTP/1.1\r\nX-Long: " + b"x" * 70_000 + b"\r\n\r\n"),
+                (b"400 Bad Request", b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n"),
+                (b"400 Bad Request", b"GET /healthz HTTP/1.1 extra\r\n\r\n"),
+                (b"501 Not Implemented",
+                 b"POST /query HTTP/1.1\r\nHost: gateway\r\n"
+                 b"Transfer-Encoding: chunked\r\n\r\n"
+                 + b"%x\r\n" % len(query) + query + b"\r\n0\r\n\r\n"),
+                (b"400 Bad Request",
+                 b"POST /query HTTP/1.1\r\nHost: gateway\r\nContent-Length: 2\r\n"
+                 b"Content-Length: %d\r\n\r\n" % len(query) + query),
             ]
-            for raw in raw_requests:
+            for status, raw in raw_requests:
                 with socket.create_connection(
                     (server.host, server.port), timeout=10
                 ) as sock:
                     sock.sendall(raw)
-                    reply = sock.recv(4096)
-                assert reply.startswith(b"HTTP/1.1 400 "), (raw[:60], reply)
+                    reply = _read_to_eof(sock)
+                assert reply.startswith(b"HTTP/1.1 " + status + b"\r\n"), (raw[:60], reply)
                 assert b"Connection: close" in reply
+                assert reply.count(b"HTTP/1.1 ") == 1, reply  # one reply, then EOF
             # The server survives bad input and keeps serving; none of it
             # reached a shard.
             with GatewayHTTPClient(server.host, server.port) as client:
@@ -493,6 +591,37 @@ class TestGatewayHTTP:
                 payload = client.query(**valid)
         assert payload["status"] == "ok"
         assert gateway.stats.worker_errors == errors_before
+
+    def test_connections_persist_by_the_http_version_rule(self, gateway):
+        # HTTP/1.0 persists only on "keep-alive", HTTP/1.1 unless "close";
+        # a connection that does not persist is answered "close" and ended.
+        healthz = b"GET /healthz HTTP/%s\r\nHost: gateway\r\n%s\r\n"
+        with GatewayHTTPServer(gateway) as server:
+            for version, header in (
+                (b"1.0", b""),
+                (b"1.0", b"Connection: Upgrade, close\r\n"),
+                (b"1.1", b"Connection: Close\r\n"),
+            ):
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(healthz % (version, header))
+                    reply = _read_to_eof(sock)
+                assert reply.startswith(b"HTTP/1.1 200 OK\r\n"), (version, header, reply)
+                assert b"Connection: close\r\n" in reply, (version, header)
+            for version, header in (
+                (b"1.0", b"Connection: Keep-Alive\r\n"),
+                (b"1.1", b""),
+            ):
+                with socket.create_connection(
+                    (server.host, server.port), timeout=10
+                ) as sock:
+                    sock.sendall(healthz % (version, header) * 2)
+                    sock.shutdown(socket.SHUT_WR)
+                    reply = _read_to_eof(sock)
+                # Both requests answered on the one connection.
+                assert reply.count(b"HTTP/1.1 200 OK\r\n") == 2, (version, header)
+                assert reply.count(b"Connection: keep-alive\r\n") == 2, (version, header)
 
     def test_close_ends_open_keep_alive_connections(self):
         # Run apart under asyncio's debug mode, where a connection left
@@ -571,6 +700,14 @@ class TestGatewayHTTP:
             assert not server.is_alive()
 
 
+def _read_to_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes; a timeout raises."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def _first_keys_by_shard(gateway, workload) -> dict[int, list]:
     """The workload's distinct requests, grouped by owner shard."""
     by_shard: dict[int, list] = {}
@@ -643,6 +780,9 @@ class TestShardFaults:
                         late.method, late.db_id, late.question, deadline_s=0.5
                     )
                     assert time.monotonic() - started < 0.5 + DEADLINE_GRACE_S + 1.0
+                    (gateway_timeout,) = gw.serve_many(
+                        [dataclasses.replace(late, deadline_s=0.5)]
+                    )
                     started = time.monotonic()
                     status, health = _healthz_status(server)
                     direct = gw.healthz()
@@ -657,6 +797,13 @@ class TestShardFaults:
                 recovered = client.query(after.method, after.db_id, after.question)
                 assert client.healthz()["status"] == "ok"
         assert timed_out["status"] == "timeout" and timed_out["record"] is None
+        # The gateway builds this TIMEOUT itself; its body is the same
+        # encoding of the same envelope as every shard-built body.
+        assert gateway_timeout.status is ServeStatus.TIMEOUT
+        assert query_body(gateway_timeout) == json.dumps(
+            response_to_dict(gateway_timeout), sort_keys=True
+        ).encode()
+        assert timed_out == response_to_dict(gateway_timeout)
         assert status == 503 and health["status"] == "degraded"
         assert direct["status"] == "degraded" and "error" in direct["shards"][1]
         assert served["record"] == record_to_dict(offline_records[survivor.key])

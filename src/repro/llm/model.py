@@ -37,8 +37,7 @@ from repro.nlu.lexicon import HARD_PHRASES, Lexicon
 from repro.nlu.linker import SchemaLinker
 from repro.obs.trace import get_tracer
 from repro.schema.model import DatabaseSchema, ForeignKey
-from repro.sqlkit.natsql import from_natsql, to_natsql
-from repro.sqlkit.parser import parse_select
+from repro.sqlkit.natsql import natsql_round_trip
 from repro.utils.cache import caches_enabled, per_object_cache
 from repro.utils.rng import derive_rng
 
@@ -47,6 +46,9 @@ from repro.utils.rng import derive_rng
 # pruned table tuples.
 _INTENT_CACHE_SIZE = 4096
 _PRUNED_CACHE_SIZE = 512
+# A zoo pass renders at most a few hundred distinct (intent, style,
+# NatSQL) keys per schema: 223 at most in a Spider-like pass at scale 0.3.
+_RENDER_CACHE_SIZE = 4096
 
 # Fraction of each error class that is systematic (identical across
 # samples of the same question) rather than per-draw noise.
@@ -82,6 +84,64 @@ def _pruned_schema(schema: DatabaseSchema, tables: tuple[str, ...]) -> DatabaseS
         db_id=schema.db_id, tables=kept_tables, foreign_keys=kept_fks,
         domain=schema.domain, ambient_difficulty=schema.ambient_difficulty,
     )
+
+
+def _literal_types(intent: QueryIntent) -> tuple[type, ...]:
+    """The types of ``intent``'s literal values, in a fixed order.
+
+    Intents that compare equal can still render differently, since
+    ``5 == 5.0`` and ``1 == True``: only an ``int`` threshold is shifted,
+    and a LIKE pattern is ``str(value)``.  The render memo's key carries
+    the types, so such intents never share an entry.
+    """
+    filters = [*intent.filters, intent.set_branch_filter]
+    if intent.subquery is not None:
+        filters.append(intent.subquery.inner_filter)
+    types = [
+        kind
+        for flt in filters
+        if flt is not None
+        for kind in (type(flt.value), type(flt.value2))
+    ]
+    if intent.having is not None:
+        types.append(type(intent.having.value))
+    if intent.order is not None:
+        types.append(type(intent.order.limit))
+    return tuple(types)
+
+
+def _render_sql(
+    intent: QueryIntent,
+    schema: DatabaseSchema,
+    style: StyleChoices,
+    uses_natsql: bool,
+) -> str:
+    """Render ``intent`` in ``style``, through the NatSQL IR when asked."""
+    try:
+        if uses_natsql:
+            # Emit NatSQL (in the model's own style), then reconstruct the
+            # join path from the schema FKs.  Subquery-rewriting styles
+            # (EXISTS, set-op flattening) do not survive the NatSQL round
+            # trip, so they are disabled here.
+            natsql_style = replace(style, exists_for_in=False,
+                                   connector_for_setop=False)
+            return natsql_round_trip(
+                render_with_style(intent, schema, natsql_style), schema
+            )
+        return render_with_style(intent, schema, style)
+    except (NatSQLError, SQLError, ReproError):
+        return _fallback_sql("", schema)
+
+
+def _fallback_sql(question: str, schema: DatabaseSchema) -> str:
+    """Last-resort completion when understanding failed entirely."""
+    if question:
+        linker = SchemaLinker(schema)
+        tables = linker.relevant_tables(question, top_k=1)
+        table = tables[0] if tables else schema.tables[0].name
+    else:
+        table = schema.tables[0].name
+    return f"SELECT * FROM {table}"
 
 
 def _break_syntax(sql: str, rng: random.Random) -> str:
@@ -246,7 +306,7 @@ class SimulatedLanguageModel:
         parse_failed = intent is None
 
         if intent is None:
-            sql = self._fallback_sql(prompt.question, effective_schema)
+            sql = _fallback_sql(prompt.question, effective_schema)
             tokens = count_tokens(sql)
             get_tracer().annotate_stage(llm_calls=1, output_tokens=tokens)
             return GenerationCandidate(
@@ -310,7 +370,10 @@ class SimulatedLanguageModel:
         stream is derived and consumed exactly as in :meth:`generate`:
         the systematic stream is keyed by question only, the draw stream
         by ``(question, draw, temperature)``, and neither reads the
-        other, so hoisting cannot change any sampled value.
+        other, so hoisting cannot change any sampled value.  Each draw's
+        SQL comes from :meth:`_render`, whose memo lives on the schema:
+        a corrupted intent that any model already rendered there, in
+        this call or an earlier one, is not rendered again.
         """
         if not draws:
             return []
@@ -325,7 +388,7 @@ class SimulatedLanguageModel:
         if intent is None:
             # Parse failure: every draw degrades to the same deterministic
             # fallback; accounting matches one annotate per sequential call.
-            sql = self._fallback_sql(prompt.question, effective_schema)
+            sql = _fallback_sql(prompt.question, effective_schema)
             tokens = count_tokens(sql)
             get_tracer().annotate_stage(
                 llm_calls=len(draws),
@@ -396,9 +459,6 @@ class SimulatedLanguageModel:
                 systematic[temperature] = state
             return state
 
-        # Post-corruption rendering is deterministic, so identical
-        # corrupted intents (common at low temperature) render once.
-        render_memo: dict = {}
         results: list[GenerationCandidate] = []
         total_tokens = 0
         for draw, temperature in draws:
@@ -417,15 +477,7 @@ class SimulatedLanguageModel:
             sampler_draw = CorruptionSampler(draw_context, draw_rng)
             draw_intent = sampler_draw.apply(sys_intent, stochastic_rates)
 
-            try:
-                render_key = (draw_intent, style)
-                sql = render_memo.get(render_key)
-            except TypeError:
-                render_key, sql = None, None
-            if sql is None:
-                sql = self._render(draw_intent, schema, style, uses_natsql)
-                if render_key is not None:
-                    render_memo[render_key] = sql
+            sql = self._render(draw_intent, schema, style, uses_natsql)
 
             if draw_rng.random() < rates["syntax_error"] * stochastic_scale * 1.8:
                 sql = _break_syntax(sql, draw_rng)
@@ -468,27 +520,25 @@ class SimulatedLanguageModel:
         style: StyleChoices,
         uses_natsql: bool,
     ) -> str:
-        try:
-            if uses_natsql:
-                # Emit NatSQL (in the model's own style), then reconstruct
-                # the join path from the schema FKs.  Subquery-rewriting
-                # styles (EXISTS, set-op flattening) do not survive the
-                # NatSQL round trip, so they are disabled here.
-                natsql_style = replace(style, exists_for_in=False,
-                                       connector_for_setop=False)
-                sql = render_with_style(intent, schema, natsql_style)
-                natsql = to_natsql(parse_select(sql))
-                return from_natsql(natsql, schema)
-            return render_with_style(intent, schema, style)
-        except (NatSQLError, SQLError, ReproError):
-            return self._fallback_sql("", schema)
+        """The SQL text of a corrupted ``intent``, memoized when on.
 
-    def _fallback_sql(self, question: str, schema: DatabaseSchema) -> str:
-        """Last-resort completion when understanding failed entirely."""
-        if question:
-            linker = SchemaLinker(schema)
-            tables = linker.relevant_tables(question, top_k=1)
-            table = tables[0] if tables else schema.tables[0].name
-        else:
-            table = schema.tables[0].name
-        return f"SELECT * FROM {table}"
+        A render depends only on the intent, the style, the NatSQL flag
+        and the full schema, never on the model or on database content,
+        so it is memoized per live schema object and shared by every
+        model; a content write leaves every entry valid.  The fallback
+        SQL of a failed render is as deterministic as a success, so the
+        memo stores it too.  An intent whose literals cannot be hashed
+        renders uncached.
+        """
+        if not caches_enabled():
+            return _render_sql(intent, schema, style, uses_natsql)
+        cache = per_object_cache(schema, "renders", maxsize=_RENDER_CACHE_SIZE)
+        key = (intent, _literal_types(intent), style, uses_natsql)
+        try:
+            hit, sql = cache.lookup(key)
+        except TypeError:
+            return _render_sql(intent, schema, style, uses_natsql)
+        if not hit:
+            sql = _render_sql(intent, schema, style, uses_natsql)
+            cache.put(key, sql)
+        return sql

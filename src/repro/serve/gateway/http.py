@@ -20,7 +20,12 @@ also owns the shard sockets:
   Prometheus text exposition format.
 
 Every handler is a coroutine on the gateway's loop and every wait it
-makes is one of the gateway's bounded waits.  A request body is framed
+makes is one of the gateway's bounded waits.  Each wait on a client is
+bounded too: :data:`IDLE_TIMEOUT_S` for the next request line (then the
+connection closes without a reply), :data:`REQUEST_TIMEOUT_S` for the
+rest of the head and the body (then 408 ``Request Timeout`` and close),
+and :data:`SEND_TIMEOUT_S` for a reply the client does not read (then
+the connection is aborted).  A request body is framed
 by ``Content-Length`` only: a ``Transfer-Encoding`` header gets 501 and
 conflicting ``Content-Length`` values get 400, both before any body is
 read and with the connection closed.  An HTTP/1.1 connection persists
@@ -45,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import math
 import sys
 import threading
 
@@ -55,9 +61,22 @@ from repro.serve.gateway.cluster import CLOSE_TIMEOUT_S, ShardedGateway
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: How long a connection may wait for its next request line; on expiry
+#: the server closes it without a reply.
+IDLE_TIMEOUT_S = 60.0
+#: How long the rest of a request head and its body may take once the
+#: request line has arrived; on expiry the reply is 408 and the server
+#: closes the connection.
+REQUEST_TIMEOUT_S = 10.0
+#: How long a reply, or a closing connection's unsent bytes, may wait
+#: for a client that does not read them; on expiry the server aborts
+#: the connection.
+SEND_TIMEOUT_S = 10.0
+_LATE_REQUEST = "request head or body not received in time"
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            500: "Internal Server Error", 501: "Not Implemented",
-            503: "Service Unavailable"}
+            408: "Request Timeout", 500: "Internal Server Error",
+            501: "Not Implemented", 503: "Service Unavailable"}
 
 
 class _BadHead(Exception):
@@ -143,15 +162,73 @@ def _persists(version: str, headers: dict[str, str]) -> bool:
     return "close" not in tokens
 
 
-async def _read_head(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, int, bool] | None:
-    """``(method, target, body length, keep-alive)`` of the next request,
-    or ``None`` once the client is done; raises :class:`_BadHead` naming
-    what cannot be served."""
+class _ClientWaits:
+    """Bounds a connection's waits on its client with one timer.
+
+    The connection waits on its client in one phase at a time: for the
+    next request line (:data:`IDLE_TIMEOUT_S`), for the rest of that
+    request (:data:`REQUEST_TIMEOUT_S`), or for the client to take a
+    reply (:data:`SEND_TIMEOUT_S`).  Starting a phase only records its
+    deadline.  The timer moves only when a deadline falls before it, and
+    a timer that fires early moves on to the deadline then in force, so
+    a busy connection moves its timer about twice per
+    :data:`REQUEST_TIMEOUT_S` instead of at every wait.  When a request's rest is late the reader
+    raises a 408 :class:`_BadHead`; any other expired wait aborts the
+    connection, which the handler then reads as the client's EOF.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._reader = reader
+        self._transport = writer.transport
+        self._loop = asyncio.get_running_loop()
+        self._phase: str | None = None
+        self._deadline = math.inf
+        self._timer: asyncio.TimerHandle | None = None
+        self._timer_at = math.inf
+        self.expired = False
+
+    def start(self, phase: str | None, seconds: float = math.inf) -> None:
+        """Bound the wait ``phase`` that begins now; ``None`` bounds none."""
+        self._phase = phase
+        self._deadline = self._loop.time() + seconds
+        if self._deadline < self._timer_at:
+            self._arm(self._deadline)
+
+    def cancel(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer, self._timer_at = None, math.inf
+
+    def _arm(self, when: float) -> None:
+        self.cancel()
+        self._timer, self._timer_at = self._loop.call_at(when, self._fire), when
+
+    def _fire(self) -> None:
+        self._timer, self._timer_at = None, math.inf
+        if self._loop.time() < self._deadline:
+            if self._deadline < math.inf:
+                self._arm(self._deadline)
+            return
+        self.expired = True
+        if self._phase == "request":
+            self._reader.set_exception(_BadHead(408, _LATE_REQUEST))
+        else:
+            self._transport.abort()
+
+
+async def _read_request(
+    reader: asyncio.StreamReader, waits: _ClientWaits
+) -> tuple[str, str, bytes, bool] | None:
+    """``(method, target, body, keep-alive)`` of the next request, or
+    ``None`` once the client is done or was idle too long; raises
+    :class:`_BadHead` naming what cannot be served."""
+    waits.start("idle", IDLE_TIMEOUT_S)
     request_line = await _read_line(reader)
     if not request_line or request_line.strip() == b"":
         return None
+    waits.start("request", REQUEST_TIMEOUT_S)
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
         raise _BadHead(400, "malformed request line")
@@ -165,7 +242,24 @@ async def _read_head(
         name, value = name.strip().lower(), value.strip()
         # A repeated field is one comma-separated list (RFC 9110 §5.3).
         headers[name] = f"{headers[name]}, {value}" if name in headers else value
-    return method.upper(), target, _body_length(headers), _persists(version, headers)
+    length = _body_length(headers)
+    body = await reader.readexactly(length) if length else b""
+    if waits.expired:  # it all arrived just as the bound ran out
+        raise _BadHead(408, _LATE_REQUEST)
+    waits.start(None)
+    return method.upper(), target, body, _persists(version, headers)
+
+
+async def _send(
+    writer: asyncio.StreamWriter, waits: _ClientWaits, data: bytes
+) -> None:
+    """Write ``data``; wait for the client to take what the socket could
+    not, at most :data:`SEND_TIMEOUT_S`."""
+    writer.write(data)
+    if writer.transport.get_write_buffer_size():  # else drain() would not wait
+        waits.start("send", SEND_TIMEOUT_S)
+        await writer.drain()
+        waits.start(None)
 
 
 class GatewayHTTPServer:
@@ -230,24 +324,25 @@ class GatewayHTTPServer:
     ) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
+        waits = _ClientWaits(reader, writer)
         try:
             while True:
                 try:
-                    head = await _read_head(reader)
+                    request = await _read_request(reader, waits)
                 except _BadHead as exc:
-                    writer.write(_http_response(
+                    await _send(writer, waits, _http_response(
                         exc.status, _json_bytes({"error": str(exc)}),
                         "application/json", keep_alive=False,
                     ))
-                    await writer.drain()
                     break
-                if head is None:
+                if request is None:
                     break
-                method, target, length, keep_alive = head
-                body = await reader.readexactly(length) if length else b""
+                method, target, body, keep_alive = request
                 status, payload, content_type = await self._route(method, target, body)
-                writer.write(_http_response(status, payload, content_type, keep_alive))
-                await writer.drain()
+                await _send(
+                    writer, waits,
+                    _http_response(status, payload, content_type, keep_alive),
+                )
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -262,10 +357,12 @@ class GatewayHTTPServer:
         finally:
             self._connections.discard(task)
             writer.close()
+            waits.start("send", SEND_TIMEOUT_S)  # bytes the client never takes
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
+            waits.cancel()
 
     async def _route(
         self, method: str, target: str, body: bytes

@@ -8,6 +8,11 @@ complexity of predicting JOIN-heavy queries (Finding 4); our simulated
 models exploit exactly this property — a model emitting NatSQL never has
 to predict a join path, so it cannot make join errors, but decoding fails
 when the referenced tables are not FK-connected.
+
+:func:`to_natsql` and :func:`from_natsql` leave their inputs unchanged,
+so each copies the tree it is given before editing it in place.
+:func:`natsql_round_trip` composes the same encode and decode on a
+statement it parses itself, with no copy.
 """
 
 from __future__ import annotations
@@ -173,6 +178,17 @@ def _decode(statement: SelectStatement, schema: DatabaseSchema) -> SelectStateme
 
     statement.from_clause = FromClause(base=TableRef(name=tables[0]), joins=joins)
     return statement
+
+
+def natsql_round_trip(sql: str, schema: DatabaseSchema) -> str:
+    """Encode ``sql`` to NatSQL and decode it back with ``schema``'s FKs.
+
+    Returns the same text and raises the same errors as
+    ``from_natsql(to_natsql(sql), schema)``, but it parses ``sql`` once
+    and encodes and decodes that fresh statement in place, so it copies
+    no tree.  This is the simulated NatSQL models' render path.
+    """
+    return to_sql(_decode(_encode(parse_select(sql)), schema))
 
 
 def _join_condition(fk) -> Expr:

@@ -99,6 +99,16 @@ def value_columns(schema: DatabaseSchema) -> list[tuple[str, Column]]:
     ]
 
 
+def null_value_columns(dataset) -> None:
+    """NULL every non-key, non-FK column through ``Database.apply_write``."""
+    for database in dataset.databases.values():
+        by_table: dict[str, list[str]] = {}
+        for table, column in value_columns(database.schema):
+            by_table.setdefault(table, []).append(f'"{column.name}" = NULL')
+        for table, assignments in by_table.items():
+            database.apply_write(f'UPDATE "{table}" SET {", ".join(assignments)}')
+
+
 def mutable_text_column(schema: DatabaseSchema) -> tuple[str, str]:
     """A (table, column) safe to rewrite in place: TEXT, non-key, non-FK."""
     for table, column in value_columns(schema):

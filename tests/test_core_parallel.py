@@ -19,7 +19,7 @@ from repro.core.parallel import MethodSpec, ParallelEvaluator, result_fingerprin
 from repro.datagen.benchmark import build_benchmark
 from repro.methods.zoo import build_method
 
-from tests.conftest import small_benchmark_config, value_columns
+from tests.conftest import null_value_columns, small_benchmark_config
 
 METHODS = ["DAILSQL", "SuperSQL"]
 
@@ -196,16 +196,6 @@ class TestAASWithEngine:
         assert warm.best.fitness == cold.best.fitness
 
 
-def _null_value_columns(dataset) -> None:
-    """NULL every non-key, non-FK column through ``Database.apply_write``."""
-    for database in dataset.databases.values():
-        by_table: dict[str, list[str]] = {}
-        for table, column in value_columns(database.schema):
-            by_table.setdefault(table, []).append(f'"{column.name}" = NULL')
-        for table, assignments in by_table.items():
-            database.apply_write(f'UPDATE "{table}" SET {", ".join(assignments)}')
-
-
 class TestWrittenDataset:
     """A write after the build: workers would rebuild the old rows, and the
     result cache keys on the build recipe, so both must step aside."""
@@ -225,7 +215,7 @@ class TestWrittenDataset:
 
     def test_written_dataset_evaluates_in_process(self, private_dataset):
         before = self._fresh_records(private_dataset)
-        _null_value_columns(private_dataset)
+        null_value_columns(private_dataset)
         expected = self._fresh_records(private_dataset)
         assert expected != before  # the writes change records
         with ParallelEvaluator(
@@ -241,7 +231,7 @@ class TestWrittenDataset:
             private_dataset, log_store=store, measure_timing=False, jobs=1
         ) as engine:
             before = engine.evaluate_method(build_method(self.METHOD)).records
-            _null_value_columns(private_dataset)
+            null_value_columns(private_dataset)
             after = engine.evaluate_method(build_method(self.METHOD)).records
             assert engine.stats.cache_hits == 0
         expected = self._fresh_records(private_dataset)

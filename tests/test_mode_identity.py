@@ -20,9 +20,9 @@ shards trace into their own registries, so those cases check the
 ``caches`` value each shard reports on ``ping`` (over HTTP, on
 ``/healthz``) instead.
 
-The five methods cover all four decoders: greedy (DAILSQL), sampling
+The six methods cover all four decoders: greedy (DAILSQL), sampling
 (DAILSQL(SC)), beam (BRIDGE v2) and PICARD (T5-3B + PICARD), plus
-SuperSQL.
+SuperSQL and DINSQL, which renders through the NatSQL IR.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.utils.cache import caches_disabled
 
 from tests.conftest import small_benchmark_config
 
-METHODS = ("DAILSQL", "DAILSQL(SC)", "BRIDGE v2", "T5-3B + PICARD", "SuperSQL")
+METHODS = ("DAILSQL", "DAILSQL(SC)", "BRIDGE v2", "T5-3B + PICARD", "SuperSQL", "DINSQL")
 SEED = 42
 
 

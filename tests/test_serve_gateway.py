@@ -55,6 +55,7 @@ from repro.serve.gateway import (
     stable_hash,
 )
 from repro.serve.gateway import cluster, wire
+from repro.serve.gateway import http as gateway_http
 from repro.serve.gateway.cluster import DEADLINE_GRACE_S, HEALTH_TIMEOUT_S
 from repro.methods.zoo import build_method
 from repro.obs.prometheus import merge_metric_exports, render_prometheus
@@ -622,6 +623,73 @@ class TestGatewayHTTP:
                 # Both requests answered on the one connection.
                 assert reply.count(b"HTTP/1.1 200 OK\r\n") == 2, (version, header)
                 assert reply.count(b"Connection: keep-alive\r\n") == 2, (version, header)
+
+    @pytest.mark.parametrize(
+        ("bound", "sent", "status"),
+        [
+            ("IDLE_TIMEOUT_S", b"", None),
+            ("REQUEST_TIMEOUT_S", b"GET /healthz HTTP/1.1\r\n", b"408 Request Timeout"),
+            ("REQUEST_TIMEOUT_S",
+             b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{", b"408 Request Timeout"),
+        ],
+        ids=["sends_nothing", "head_cut_short", "body_cut_short"],
+    )
+    def test_a_stalled_client_is_ended_within_its_bound(
+        self, gateway, monkeypatch, bound, sent, status
+    ):
+        # Only the bound under test is lowered: a wait bounded by the
+        # other one would outlast the socket's own 5 s timeout.
+        monkeypatch.setattr(gateway_http, bound, 0.3)
+        with GatewayHTTPServer(gateway) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                started = time.monotonic()
+                sock.sendall(sent)
+                reply = _read_to_eof(sock)
+                elapsed = time.monotonic() - started
+            assert not server._connections
+        assert 0.3 <= elapsed < 3.0
+        if status is None:
+            assert reply == b""  # closed without a reply
+        else:
+            assert reply.startswith(b"HTTP/1.1 " + status + b"\r\n"), reply
+            assert b"Connection: close\r\n" in reply
+            assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_a_client_that_never_reads_is_dropped_within_the_bound(
+        self, gateway, monkeypatch
+    ):
+        monkeypatch.setattr(gateway_http, "SEND_TIMEOUT_S", 0.3)
+        requests = 2000
+        with GatewayHTTPServer(gateway) as server:
+            # Small socket buffers at both ends (an accepted socket takes
+            # the listener's): the replies, about 270 KB of 404s, outgrow
+            # them and the transport's high-water mark.
+            server._server.sockets[0].setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(5)
+                sock.connect((server.host, server.port))
+                sock.sendall(b"GET /nope HTTP/1.1\r\n\r\n" * requests)
+                time.sleep(1.5)  # read nothing until the bound has passed
+                assert not server._connections
+                try:
+                    reply = _read_to_eof(sock)
+                except ConnectionResetError:
+                    reply = b""
+        assert reply.count(b"HTTP/1.1 404 Not Found\r\n") < requests
+
+    def test_client_reconnects_after_the_idle_bound(self, gateway, monkeypatch):
+        monkeypatch.setattr(gateway_http, "IDLE_TIMEOUT_S", 0.2)
+        with GatewayHTTPServer(gateway) as server:
+            with GatewayHTTPClient(server.host, server.port) as client:
+                assert client.healthz()["status"] == "ok"
+                deadline = time.monotonic() + 5
+                while server._connections and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not server._connections  # the server closed it
+                assert client.healthz()["status"] == "ok"
 
     def test_close_ends_open_keep_alive_connections(self):
         # Run apart under asyncio's debug mode, where a connection left

@@ -16,10 +16,12 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from repro.core.evaluator import Evaluator
 from repro.core.parallel import result_fingerprint
 from repro.datagen.benchmark import (
     Dataset,
@@ -27,12 +29,15 @@ from repro.datagen.benchmark import (
     build_benchmark,
     spider_like_config,
 )
+from repro.datagen.intents import ColumnSel, Filter, IntentShape, QueryIntent
 from repro.dbengine.database import Database
 from repro.errors import SQLError
+from repro.llm import model as model_module
 from repro.llm import tokens
 from repro.llm.model import SimulatedLanguageModel
 from repro.llm.prompt import Prompt, PromptFeatures
 from repro.llm.registry import get_profile
+from repro.llm.styles import StyleChoices
 from repro.methods.zoo import build_method
 from repro.modules import db_content
 from repro.modules.base import PipelineConfig
@@ -57,11 +62,17 @@ from repro.sqlkit.differential import (
 from repro.sqlkit.exact_match import exact_match
 from repro.sqlkit.parser import parse_select
 from repro.sqlkit.printer import to_sql
-from repro.utils.cache import caches_disabled, per_object_cache
+from repro.utils.cache import caches_disabled, lru_cache_stats, per_object_cache
 from repro.utils.rng import derive_rng
 from repro.utils.text import normalized_similarity
 
-from tests.conftest import AIRPORT_ROWS, FLIGHT_ROWS, make_toy_schema
+from tests.conftest import (
+    AIRPORT_ROWS,
+    FLIGHT_ROWS,
+    make_toy_schema,
+    null_value_columns,
+    small_benchmark_config,
+)
 
 # The package re-exports the function under the module's own name.
 em_module = importlib.import_module("repro.sqlkit.exact_match")
@@ -168,6 +179,158 @@ class TestIntentMemo:
         assert first.table_names == ["airports"]
 
 
+# -- render memo ------------------------------------------------------------
+
+
+# One method per decoder family (greedy, sampling, beam, PICARD) and the
+# two NatSQL-IR methods.
+RENDER_METHODS = ("DAILSQL", "DAILSQL(SC)", "BRIDGE v2", "T5-3B + PICARD",
+                  "DINSQL", "RESDSQL-3B + NatSQL")
+
+
+def _zoo_records(dataset):
+    evaluator = Evaluator(dataset, measure_timing=False)
+    reports = evaluator.evaluate_zoo(
+        [build_method(name, seed=42) for name in RENDER_METHODS]
+    )
+    return {name: report.records for name, report in reports.items()}
+
+
+def _renders(dataset):
+    """``(hits, misses, entries)`` of the ``renders`` memos of ``dataset``'s schemas."""
+    memos = [per_object_cache(db.schema, "renders") for db in dataset.databases.values()]
+    return (sum(memo.hits for memo in memos), sum(memo.misses for memo in memos),
+            sum(len(memo) for memo in memos))
+
+
+@pytest.fixture()
+def render_calls(monkeypatch):
+    """Counts every uncached render made in the test."""
+    calls = []
+    original = model_module._render_sql
+
+    def counting(intent, schema, style, uses_natsql):
+        calls.append((intent, uses_natsql))
+        return original(intent, schema, style, uses_natsql)
+
+    monkeypatch.setattr(model_module, "_render_sql", counting)
+    return calls
+
+
+def _threshold_intent(value) -> QueryIntent:
+    return QueryIntent(
+        shape=IntentShape.PROJECT, db_id="toy_flights", tables=("airports",),
+        projection=(ColumnSel("airports", "name"),),
+        filters=(Filter(ColumnSel("airports", "elevation"), ">", value),),
+    )
+
+
+class TestRenderMemo:
+    def test_records_equal_with_caches_on_and_off(self, small_dataset):
+        before = _renders(small_dataset)
+        cached = _zoo_records(small_dataset)
+        after = _renders(small_dataset)
+        assert after[0] > before[0]  # the memo served renders
+        with caches_disabled():
+            uncached = _zoo_records(small_dataset)
+        assert _renders(small_dataset) == after
+        assert uncached == cached
+
+    def test_models_sharing_a_schema_render_once(self, toy_db, render_calls):
+        intent = _threshold_intent(100)
+        strong = SimulatedLanguageModel(get_profile("gpt-4"))
+        weak = SimulatedLanguageModel(get_profile("t5-base"), seed=3)
+        for natsql in (False, True):
+            first = strong._render(intent, toy_db.schema, StyleChoices(), natsql)
+            assert weak._render(intent, toy_db.schema, StyleChoices(), natsql) == first
+        assert render_calls == [(intent, False), (intent, True)]
+        memo = per_object_cache(toy_db.schema, "renders")
+        assert (memo.hits, memo.misses, len(memo)) == (2, 2, 2)
+        assert lru_cache_stats()["renders"]["hits"] >= 2
+
+    def test_caches_disabled_neither_hits_nor_stores(self, toy_db, render_calls):
+        model = SimulatedLanguageModel(get_profile("gpt-4"))
+        with caches_disabled():
+            for _ in range(2):
+                model._render(_threshold_intent(100), toy_db.schema, StyleChoices(), True)
+        assert len(render_calls) == 2
+        memo = per_object_cache(toy_db.schema, "renders")
+        assert (memo.hits, memo.misses, len(memo)) == (0, 0, 0)
+
+    def test_equal_intents_with_other_literal_types_never_share(self, toy_db):
+        # 100 == 100.0 and 1 == True, but only an int threshold shifts.
+        model = SimulatedLanguageModel(get_profile("gpt-4"))
+        style = StyleChoices(shifted_int_threshold=True)
+        assert _threshold_intent(100) == _threshold_intent(100.0)
+        assert _threshold_intent(1) == _threshold_intent(True)
+        for natsql in (False, True):
+            for value in (100, 100.0, 1, True):
+                intent = _threshold_intent(value)
+                cached = model._render(intent, toy_db.schema, style, natsql)
+                with caches_disabled():
+                    assert model._render(intent, toy_db.schema, style, natsql) == cached
+        assert model._render(_threshold_intent(100), toy_db.schema, style, False).endswith(
+            "elevation >= 101"
+        )
+
+    def test_unhashable_literals_render_uncached(self, toy_db, render_calls):
+        model = SimulatedLanguageModel(get_profile("gpt-4"))
+        intent = _threshold_intent(["unhashable"])
+        with caches_disabled():
+            expected = model._render(intent, toy_db.schema, StyleChoices(), False)
+        assert model._render(intent, toy_db.schema, StyleChoices(), False) == expected
+        assert len(render_calls) == 2
+        assert len(per_object_cache(toy_db.schema, "renders")) == 0
+
+    def test_threads_share_the_memo_without_lost_updates(self, toy_db):
+        # More threads than cores and a short switch interval: a lost
+        # update would show as a wrong text or a miscounted lookup.
+        keys = [(_threshold_intent(value), natsql)
+                for value in range(30) for natsql in (False, True)]
+        model = SimulatedLanguageModel(get_profile("gpt-4"))
+        with caches_disabled():
+            expected = [model._render(intent, toy_db.schema, StyleChoices(), natsql)
+                        for intent, natsql in keys]
+
+        def render_all(_thread):
+            return [model._render(intent, toy_db.schema, StyleChoices(), natsql)
+                    for intent, natsql in keys]
+
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                results = list(pool.map(render_all, range(threads), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * threads
+        memo = per_object_cache(toy_db.schema, "renders")
+        assert memo.hits + memo.misses == threads * len(keys)
+        assert len(memo) == len(keys) <= memo.misses
+
+    def test_records_follow_a_write_that_changes_them(self):
+        # A private dataset: never write to the session-scoped one.
+        dataset = build_benchmark(small_benchmark_config())
+        try:
+            before = _zoo_records(dataset)  # warms the memo
+            null_value_columns(dataset)
+            hits = _renders(dataset)[0]
+            after = _zoo_records(dataset)
+            assert _renders(dataset)[0] > hits  # renders stay valid across the write
+            with caches_disabled():
+                expected = _zoo_records(dataset)
+        finally:
+            dataset.close()
+        assert after == expected
+        changed = sum(
+            old != new
+            for name in RENDER_METHODS
+            for old, new in zip(before[name], after[name], strict=True)
+        )
+        assert changed > 0
+
+
 # -- DB-content memo --------------------------------------------------------
 
 
@@ -262,6 +425,7 @@ class TestCachesDisabledBypassesEveryMemo:
         for host, name in (
             (toy_db.schema, "intents"),
             (toy_db.schema, "pruned_schemas"),
+            (toy_db.schema, "renders"),
             (toy_db, "db_content"),
             (toy_db, "prefix_schema"),
         ):

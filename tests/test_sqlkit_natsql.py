@@ -1,10 +1,14 @@
 """Tests for the NatSQL intermediate representation."""
 
+import copy
+
 import pytest
 
-from repro.errors import NatSQLError
+from repro.errors import NatSQLError, ReproError, SQLParseError
+from repro.sqlkit.differential import build_fuzz_datasets
 from repro.sqlkit.exact_match import exact_match
-from repro.sqlkit.natsql import from_natsql, natsql_text, to_natsql
+from repro.sqlkit.natsql import from_natsql, natsql_round_trip, natsql_text, to_natsql
+from repro.sqlkit.parser import parse_select
 
 
 class TestEncode:
@@ -90,3 +94,68 @@ class TestDecode:
         )
         decoded = from_natsql(to_natsql(sql), toy_schema)
         assert "UNION" in decoded
+
+
+@pytest.fixture(scope="module")
+def gold_queries():
+    """Every distinct (gold SQL, schema) of the small Spider- and BIRD-like sets."""
+    datasets = build_fuzz_datasets()
+    pairs = {
+        (example.gold_sql, example.db_id, dataset.name): dataset.databases[
+            example.db_id
+        ].schema
+        for dataset in datasets
+        for example in dataset.examples
+    }
+    yield [(sql, schema) for (sql, _db_id, _name), schema in pairs.items()]
+    for dataset in datasets:
+        dataset.close()
+
+
+def _outcome(function, *args):
+    """``function(*args)``, or the type of the repro error it raised."""
+    try:
+        return function(*args)
+    except ReproError as exc:
+        return type(exc)
+
+
+def _two_step(sql, schema):
+    return from_natsql(to_natsql(sql), schema)
+
+
+class TestRoundTrip:
+    def test_equals_the_two_step_round_trip(self, gold_queries, monkeypatch):
+        # Each gold query against its own schema, against another
+        # database's schema (unknown or unconnected tables), and cut short
+        # (a parse error).
+        schemas = [schema for _sql, schema in gold_queries]
+        cases = [
+            case
+            for index, (sql, schema) in enumerate(gold_queries)
+            for case in (
+                (sql, schema),
+                (sql, schemas[(index * 7 + 1) % len(schemas)]),
+                (sql[: len(sql) // 2], schema),
+            )
+        ]
+        expected = [_outcome(_two_step, sql, schema) for sql, schema in cases]
+
+        def no_copy(value, memo=None):
+            raise AssertionError("natsql_round_trip copied a tree")
+
+        monkeypatch.setattr(copy, "deepcopy", no_copy)
+        actual = [_outcome(natsql_round_trip, sql, schema) for sql, schema in cases]
+        assert actual == expected
+        assert all(isinstance(outcome, str) for outcome in expected[::3])
+        assert {NatSQLError, SQLParseError} <= set(expected)
+
+    def test_encode_and_decode_leave_their_inputs_unchanged(self, gold_queries):
+        for sql, schema in gold_queries:
+            statement = parse_select(sql)
+            snapshot = copy.deepcopy(statement)
+            natsql = to_natsql(statement)
+            assert statement == snapshot
+            encoded, text = copy.deepcopy(natsql.statement), natsql_text(natsql)
+            assert isinstance(from_natsql(natsql, schema), str)
+            assert natsql.statement == encoded and natsql_text(natsql) == text

@@ -66,23 +66,25 @@ from repro.utils.cache import lru_cache_stats
 from repro.sqlkit.exact_match import exact_match
 from repro.sqlkit.features import SQLFeatures, extract_features
 
-# (db_id, data_version, gold_sql) -> (result, seconds); the parallel engine
-# ships entries from its one-pass gold precompute to its workers.
-GoldCache = dict[str, tuple[ExecutionResult, float]]
+# gold_key -> (data_version, result, seconds): one entry per distinct gold
+# query, at the version it last ran on.  The parallel engine ships entries
+# from its one-pass gold precompute to its workers.
+GoldCache = dict[tuple[str, str], tuple[int, ExecutionResult, float]]
 
 # lru_cache_stats() entry key -> metric name.
 _LRU_METRICS = {"hits": "lru_cache_hits", "misses": "lru_cache_misses"}
 
 
-def gold_key(example: Example, data_version: int = 0) -> str:
-    """Cache key for one distinct (db_id, data_version, gold_sql) gold execution.
+def gold_key(example: Example) -> tuple[str, str]:
+    """Gold-cache key of ``example``: its ``(db_id, gold_sql)``.
 
-    Keying on the database's ``data_version`` means a content mutation
-    (``Database.mark_mutated``) invalidates the gold result along with
-    every other execution memo — a mid-run mutation can never serve a
-    stale gold row set.
+    The entry stores the database's ``data_version`` with the result; a
+    lookup at another version (after ``Database.mark_mutated`` or a
+    write) re-executes and overwrites it, so a write never serves a
+    stale gold row set and the cache never holds more than one entry
+    per distinct gold query.
     """
-    return f"{example.db_id}::{data_version}::{example.gold_sql}"
+    return (example.db_id, example.gold_sql)
 
 
 class Evaluator:
@@ -107,19 +109,29 @@ class Evaluator:
 
     # -- internals ----------------------------------------------------------
 
+    def _gold_entry(
+        self, example: Example, version: int
+    ) -> tuple[int, ExecutionResult, float] | None:
+        """``example``'s cached gold entry if it ran at ``version``, else ``None``."""
+        entry = self._gold_cache.get(gold_key(example))
+        return entry if entry is not None and entry[0] == version else None
+
     def _gold_execution(self, example: Example) -> tuple[ExecutionResult, float]:
         database = self.dataset.database(example.db_id)
-        key = gold_key(example, database.data_version)
-        if key not in self._gold_cache:
+        version = database.data_version
+        entry = self._gold_entry(example, version)
+        if entry is None:
+            # Serving threads may race here on one key: each stores what
+            # it ran at the version it read; a later version runs again.
             if self.measure_timing:
                 timed = timed_execute(
                     database, example.gold_sql, repeats=self.timing_repeats
                 )
-                self._gold_cache[key] = (timed.result, timed.seconds)
+                entry = (version, timed.result, timed.seconds)
             else:
-                result = execute_sql(database, example.gold_sql)
-                self._gold_cache[key] = (result, 1e-4)
-        return self._gold_cache[key]
+                entry = (version, execute_sql(database, example.gold_sql), 1e-4)
+            self._gold_cache[gold_key(example)] = entry
+        return entry[1], entry[2]
 
     def precompute_gold(self, examples: list[Example]) -> int:
         """One-pass gold precompute: run each distinct (db_id, gold_sql) once.
@@ -131,7 +143,7 @@ class Evaluator:
         fresh = 0
         for example in examples:
             version = self.dataset.database(example.db_id).data_version
-            if gold_key(example, version) not in self._gold_cache:
+            if self._gold_entry(example, version) is None:
                 self._gold_execution(example)
                 fresh += 1
         return fresh
@@ -147,7 +159,7 @@ class Evaluator:
         with trace.example(method.name, example.example_id) as span:
             database = self.dataset.database(example.db_id)
             prediction = method.predict(example, database)
-            gold_cached = gold_key(example, database.data_version) in self._gold_cache
+            gold_cached = self._gold_entry(example, database.data_version) is not None
             with trace.stage("execute") as stage:
                 stage.cache_hit = gold_cached
                 gold_result, gold_seconds = self._gold_execution(example)

@@ -268,12 +268,9 @@ class ParallelEvaluator(Evaluator):
             chunk = pending[start : start + size]
             # Ship the chunk's precomputed gold results along with the
             # task: any worker can serve any chunk without re-execution.
-            # Gold keys carry the coordinator's data_version, which the
+            # Entries carry the coordinator's data_version, which the
             # worker's freshly-built dataset reproduces deterministically.
-            gold_updates = {}
-            for e in chunk:
-                key = gold_key(e, self.dataset.database(e.db_id).data_version)
-                gold_updates[key] = self._gold_cache[key]
+            gold_updates = {gold_key(e): self._gold_cache[gold_key(e)] for e in chunk}
             ids = [e.example_id for e in chunk]
             futures.append(pool.submit(_worker_evaluate, spec, ids, gold_updates))
             self.stats.parallel_tasks += 1

@@ -16,7 +16,7 @@ are thread-safe and merged across processes explicitly; report building
 is stateless and safe anywhere.
 """
 
-from repro.obs.prometheus import merge_metric_exports, render_prometheus
+from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import (
     SPAN_COUNTERS,
     CounterSpec,
@@ -68,7 +68,6 @@ __all__ = [
     "ingest_record",
     "ingest_span",
     "ingest_deltas",
-    "merge_metric_exports",
     "render_prometheus",
     "RunReport",
     "build_run_report",

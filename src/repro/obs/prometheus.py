@@ -4,22 +4,19 @@ The serving gateway's ``/metrics`` endpoint renders the merged metric
 state of every shard worker in the Prometheus text exposition format
 (version 0.0.4): one ``# TYPE`` header per metric family, counters as
 ``name{label="value"} 1``, histograms flattened into ``_count`` /
-``_sum`` / ``_min`` / ``_max`` series.  Rendering works on the
-JSON-friendly :meth:`~repro.obs.registry.MetricsRegistry.as_dict` shape
-so worker processes can ship their registries over a pipe as plain
-dicts and the parent can merge + render without reconstructing
-registry objects.
+``_sum`` / ``_min`` / ``_max`` series.  Each shard returns its
+:class:`~repro.obs.registry.MetricsRegistry` over its socket, the
+gateway merges them with :meth:`~repro.obs.registry.MetricsRegistry.merge`,
+and rendering works on the merged registry's JSON-friendly
+:meth:`~repro.obs.registry.MetricsRegistry.as_dict` export.
 
-Inputs/outputs: ``as_dict()``-shaped exports in (``{"counters": [...],
-"histograms": [...]}``); :func:`merge_metric_exports` returns one
-export of the same shape with counters summed and histogram summaries
-combined exactly (count/total/min/max, order-independent);
-:func:`render_prometheus` returns deterministic exposition text —
-families and series are emitted in sorted order so equal inputs always
-render byte-identical output.
+Inputs/outputs: an ``as_dict()``-shaped export in (``{"counters": [...],
+"histograms": [...]}``); :func:`render_prometheus` returns deterministic
+exposition text — families and series are emitted in sorted order so
+equal inputs always render byte-identical output.
 
-Thread/process safety: both functions are pure (no shared state, no
-I/O); inputs are not mutated.  Safe to call from any thread or process.
+Thread/process safety: the function is pure (no shared state, no
+I/O); its input is not mutated.  Safe to call from any thread or process.
 """
 
 from __future__ import annotations
@@ -52,56 +49,6 @@ def _format_value(value: float) -> str:
     if number.is_integer():
         return str(int(number))
     return repr(number)
-
-
-def merge_metric_exports(exports: list[dict]) -> dict:
-    """Merge ``MetricsRegistry.as_dict()``-shaped exports into one.
-
-    Counters with the same (name, labels) sum; histogram summaries
-    combine count/total exactly and take elementwise min/max.  The
-    result is deterministic regardless of input order and has the same
-    shape as a single ``as_dict()`` export.
-    """
-    counters: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    histograms: dict[tuple[str, tuple[tuple[str, str], ...]], dict[str, float]] = {}
-    for export in exports:
-        for entry in export.get("counters", []):
-            key = (entry["name"], _series_key(entry.get("labels", {})))
-            counters[key] = counters.get(key, 0.0) + float(entry["value"])
-        for entry in export.get("histograms", []):
-            key = (entry["name"], _series_key(entry.get("labels", {})))
-            count = int(entry.get("count", 0))
-            if key not in histograms:
-                histograms[key] = {
-                    "count": 0, "total": 0.0, "min": None, "max": None,
-                }
-            merged = histograms[key]
-            merged["count"] += count
-            merged["total"] += float(entry.get("total", 0.0))
-            if count > 0:
-                low, high = float(entry.get("min", 0.0)), float(entry.get("max", 0.0))
-                merged["min"] = low if merged["min"] is None else min(merged["min"], low)
-                merged["max"] = high if merged["max"] is None else max(merged["max"], high)
-    return {
-        "counters": [
-            {"name": name, "labels": dict(labels), "value": value}
-            for (name, labels), value in sorted(counters.items())
-        ],
-        "histograms": [
-            {
-                "name": name,
-                "labels": dict(labels),
-                "count": merged["count"],
-                "total": round(merged["total"], 9),
-                "mean": round(
-                    merged["total"] / merged["count"] if merged["count"] else 0.0, 9
-                ),
-                "min": merged["min"] if merged["min"] is not None else 0.0,
-                "max": merged["max"] if merged["max"] is not None else 0.0,
-            }
-            for (name, labels), merged in sorted(histograms.items())
-        ],
-    }
 
 
 def render_prometheus(export: dict) -> str:

@@ -17,8 +17,10 @@ sorted by (name, labels) so exports are byte-stable across runs and
 across sequential vs parallel evaluation of the same configuration.
 
 Thread/process safety: all mutators take an internal lock, so one
-registry may be shared across threads.  Registries do not cross process
-boundaries — merge per-worker or per-run registries into a parent with
+registry may be shared across threads.  A registry pickles as a
+snapshot taken under its lock and arrives with a fresh lock, so a
+gateway shard returns its registry over its socket as is; merge
+per-worker, per-shard or per-run registries into a parent with
 :meth:`MetricsRegistry.merge` (histogram merges combine count/total/
 min/max exactly, independent of merge order).
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Sorted (label, value) pairs, and (metric name, those pairs): the
 # aggregation key.
@@ -115,9 +117,7 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other``'s metrics into this registry."""
-        with other._lock:
-            counters = dict(other._counters)
-            histograms = {k: v for k, v in other._histograms.items()}
+        counters, histograms = other._snapshot()
         with self._lock:
             for key, value in counters.items():
                 self._counters[key] = self._counters.get(key, 0.0) + value
@@ -125,6 +125,22 @@ class MetricsRegistry:
                 if key not in self._histograms:
                     self._histograms[key] = HistogramSummary()
                 self._histograms[key].merge(summary)
+
+    def _snapshot(self) -> tuple[dict, dict]:
+        """Copies of the counters and histogram summaries, taken under the lock."""
+        with self._lock:
+            return dict(self._counters), {
+                key: replace(summary) for key, summary in self._histograms.items()
+            }
+
+    # Locks are not picklable: a registry pickles as its snapshot and
+    # arrives with a fresh lock.
+    def __getstate__(self) -> tuple:
+        return self._snapshot()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._lock = threading.Lock()
+        self._counters, self._histograms = state
 
     # -- reading ---------------------------------------------------------
 

@@ -43,7 +43,7 @@ _SCHEDULE_SENSITIVE_KEYS = frozenset(
     {
         "lru_cache_hits", "lru_cache_misses", "lru_cache_hit_pct",
         "serve_cache_hits", "serve_cache_misses", "serve_cache_evictions",
-        "serve_spans_dropped", "prefix_hit_pct", *POOL_METRICS.values(),
+        "prefix_hit_pct", *POOL_METRICS.values(),
         *(spec.metric for spec in SPAN_COUNTERS if not spec.deterministic),
     }
 )
@@ -204,8 +204,7 @@ def build_run_report(
             name: registry_total(name)
             for name in (
                 "serve_cache_hits", "serve_cache_misses",
-                "serve_cache_evictions", "serve_spans_dropped",
-                *POOL_METRICS.values(),
+                "serve_cache_evictions", *POOL_METRICS.values(),
             )
         },
         **{
@@ -362,8 +361,6 @@ def render_markdown(report: RunReport) -> str:
         f"- serve response cache: {cache.get('serve_cache_hits', 0)} hits / "
         f"{cache.get('serve_cache_misses', 0)} misses "
         f"({cache.get('serve_cache_evictions', 0)} evictions)",
-        f"- serve spans dropped from the request log: "
-        f"{cache.get('serve_spans_dropped', 0)}",
         f"- read path: {cache.get('pool_checkouts', 0)} checkouts, "
         f"{cache.get('pool_replicas', 0)} replicas created, "
         f"{cache.get('pool_refreshes', 0)} refreshes, "

@@ -16,7 +16,12 @@ of ``perfbench/``.
 
 Served responses are bit-identical to offline
 :class:`~repro.core.evaluator.Evaluator` records under any concurrency,
-batching, or coalescing schedule.
+batching, or coalescing schedule.  A :class:`ServeResponse` is the one
+per-request record: under a tracer, :func:`ingest_serve_span` folds it
+into the ``serve_*`` metrics, and each gateway shard folds its stage
+spans with :func:`~repro.obs.registry.ingest_span` and returns its
+registry for the gateway to merge with
+:meth:`~repro.obs.registry.MetricsRegistry.merge`.
 """
 
 from repro.serve.cache import DEFAULT_RESPONSE_CACHE_SIZE, ResponseCache
@@ -25,7 +30,6 @@ from repro.serve.engine import (
     ServeFuture,
     ServeRequest,
     ServeResponse,
-    ServeSpan,
     ServeStats,
     ServeStatus,
     ServingEngine,
@@ -56,7 +60,6 @@ __all__ = [
     "ServeFuture",
     "ServeRequest",
     "ServeResponse",
-    "ServeSpan",
     "ServeStats",
     "ServeStatus",
     "ServingEngine",

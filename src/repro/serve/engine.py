@@ -38,10 +38,13 @@ Moving parts:
   executions for the served split, and primes per-database
   prompt/schema caches with one prediction per ``(method, database)``
   before traffic is accepted.
-* **Observability** — per-request serve spans (queue wait, service
-  time, coalesce flag, batch size) feed the ambient tracer's
+* **Observability** — while a tracer is ambient, each
+  :class:`ServeResponse` (status, queue wait, service time, coalesce
+  flag) and its response-cache outcome feed the tracer's
   :class:`~repro.obs.registry.MetricsRegistry` under ``serve_*`` names
-  and are kept in ``engine.request_log``.
+  (:func:`ingest_serve_span`); the response is the only per-request
+  record.  The stage spans of computed requests stay on the tracer for
+  its owner to drain, as offline runs do.
 
 Inputs/outputs: a :class:`~repro.datagen.benchmark.Dataset` plus a
 :class:`ServeConfig` in; :class:`ServeResponse` objects (wrapping
@@ -69,10 +72,10 @@ from repro.datagen.benchmark import Dataset, Example
 from repro.errors import ServeError, ServeOverloaded
 from repro.errors import ServeTimeout as ServeTimeoutError
 from repro.methods.base import NL2SQLMethod
-from repro.methods.zoo import build_method, with_repair
-from repro.obs.registry import POOL_METRICS, MetricsRegistry, ingest_deltas
+from repro.methods.zoo import build_method
+from repro.obs.registry import POOL_METRICS, MetricsRegistry, ingest_deltas, label_key
 from repro.obs.trace import get_tracer
-from repro.serve.cache import DEFAULT_RESPONSE_CACHE_SIZE, ResponseCache
+from repro.serve.cache import ResponseCache
 from repro.serve.scheduler import DecodeScheduler
 from repro.utils.text import normalize_question
 
@@ -149,23 +152,15 @@ class ServeConfig:
     workers: int = 4
     max_in_flight: int = 1024
     max_batch_size: int = 32
-    coalesce: bool = True
     default_deadline_s: float | None = None
     seed: int = 42
     response_cache: bool = False
-    response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE
     #: Restrict the engine to this subset of the dataset's databases
     #: (``None`` serves all).  Gateway shard workers set it to their
     #: ring-owned ``db_id``s so warmup, mutation listeners, and replica
     #: pools cover only the shard's slice; requests for other databases
     #: resolve as typed ``ERROR`` responses.
     db_ids: tuple[str, ...] | None = None
-    #: Bound on the in-memory ``request_log`` span ring; overflow drops
-    #: the oldest span and increments the ``spans_dropped`` counter.
-    request_log_size: int = 4096
-    #: Enable the post-execution self-repair stage on every served
-    #: method (``config.repair = "pattern_lm"``, see docs/PIPELINE.md).
-    repair: bool = False
 
 
 @dataclass
@@ -185,10 +180,8 @@ class ServeStats:
     cache_stores: int = 0
     batches: int = 0
     max_batch: int = 0
-    max_queue_depth: int = 0
     warmed_methods: int = 0
     warmed_gold: int = 0
-    spans_dropped: int = 0
     decode_windows: int = 0
     decode_submissions: int = 0
     decode_draws: int = 0
@@ -198,23 +191,6 @@ class ServeStats:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class ServeSpan:
-    """Per-request observability record fed into the metrics registry."""
-
-    method: str
-    db_id: str
-    status: str
-    queue_wait_s: float
-    service_s: float
-    total_s: float
-    coalesced: bool
-    batch_size: int
-    #: Response-cache outcome for this request: "off" (cache disabled),
-    #: "hit" (served from cache), or "miss" (cache consulted, computed).
-    cache: str = "off"
-
-
 #: ``ResponseCache.stats()`` lifetime key -> metric, folded once at close.
 _SERVE_CACHE_METRICS = {
     name: f"serve_cache_{name}"
@@ -222,20 +198,31 @@ _SERVE_CACHE_METRICS = {
 }
 
 
-def ingest_serve_span(registry: MetricsRegistry, span: ServeSpan) -> None:
-    """Fold one serve span into ``serve_*`` counters and histograms."""
-    registry.count("serve_requests", method=span.method, status=span.status)
-    if span.coalesced:
-        registry.count("serve_coalesce_hits", method=span.method)
-    if span.cache == "hit":
-        registry.count("serve_cache_hits", method=span.method)
-    elif span.cache == "miss":
-        registry.count("serve_cache_misses", method=span.method)
-    if span.status == ServeStatus.TIMEOUT.value:
-        registry.count("serve_timeouts", method=span.method)
-    registry.observe("serve_queue_wait_s", span.queue_wait_s, method=span.method)
-    registry.observe("serve_service_s", span.service_s, method=span.method)
-    registry.observe("serve_latency_s", span.total_s, method=span.method)
+def ingest_serve_span(
+    registry: MetricsRegistry, response: ServeResponse, cache: str
+) -> None:
+    """Fold one served request into ``serve_*`` counters and histograms.
+
+    ``cache`` is the request's response-cache outcome
+    (:attr:`ServeFuture.cache_state`): ``"off"`` (cache disabled),
+    ``"hit"`` (served from cache) or ``"miss"`` (consulted, computed).
+    """
+    method = label_key({"method": response.request.method})
+    # "status" sorts after "method", so appending its pair keeps the key sorted.
+    counts = [(("serve_requests", method + (("status", response.status.value),)), 1.0)]
+    if response.coalesced:
+        counts.append((("serve_coalesce_hits", method), 1.0))
+    if cache == "hit":
+        counts.append((("serve_cache_hits", method), 1.0))
+    elif cache == "miss":
+        counts.append((("serve_cache_misses", method), 1.0))
+    if response.status is ServeStatus.TIMEOUT:
+        counts.append((("serve_timeouts", method), 1.0))
+    registry.add(counts, (
+        (("serve_queue_wait_s", method), response.queue_wait_s),
+        (("serve_service_s", method), response.service_s),
+        (("serve_latency_s", method), response.total_s),
+    ))
 
 
 class ServeFuture:
@@ -306,20 +293,15 @@ class ServeFuture:
 class _Computation:
     """One scheduled unit of work; several futures may wait on it."""
 
-    __slots__ = ("key", "example", "method", "waiters", "registered")
+    __slots__ = ("key", "example", "method", "waiters")
 
     def __init__(
-        self,
-        key: tuple[str, str, str],
-        example: Example,
-        method: NL2SQLMethod,
-        registered: bool,
+        self, key: tuple[str, str, str], example: Example, method: NL2SQLMethod
     ) -> None:
         self.key = key
         self.example = example
         self.method = method
         self.waiters: list[ServeFuture] = []
-        self.registered = registered
 
 
 class ServingEngine:
@@ -337,8 +319,6 @@ class ServingEngine:
             raise ServeError("workers must be positive")
         if self.config.max_batch_size <= 0:
             raise ServeError("max_batch_size must be positive")
-        if self.config.request_log_size <= 0:
-            raise ServeError("request_log_size must be positive")
         if self.config.db_ids is None:
             self._databases = dict(dataset.databases)
         else:
@@ -349,9 +329,7 @@ class ServingEngine:
                 db_id: dataset.databases[db_id] for db_id in self.config.db_ids
             }
         self.response_cache: ResponseCache | None = (
-            ResponseCache(maxsize=self.config.response_cache_size)
-            if self.config.response_cache
-            else None
+            ResponseCache() if self.config.response_cache else None
         )
         self._cache_stats_at_start: dict[str, int] = {}
         self._pool_stats_at_start: dict[str, int] = {}
@@ -360,9 +338,6 @@ class ServingEngine:
         # decode window so member requests' draws go through the batched
         # model path (see repro.serve.scheduler).
         self.decode_scheduler = DecodeScheduler()
-        self.request_log: deque[ServeSpan] = deque(
-            maxlen=self.config.request_log_size
-        )
         # Untimed, so served records equal untimed offline records.
         self._evaluator = Evaluator(dataset, measure_timing=False)
         self._methods: dict[str, NL2SQLMethod] = dict(methods or {})
@@ -483,8 +458,6 @@ class ServingEngine:
         for name in self.config.methods:
             if name not in self._methods:
                 method = build_method(name, seed=self.config.seed)
-                if self.config.repair:
-                    method = with_repair(method)
                 method.prepare(self.dataset)
                 self._methods[name] = method
                 self.stats.warmed_methods += 1
@@ -572,21 +545,15 @@ class ServingEngine:
             future.admitted = True
             self._in_flight += 1
             computation = self._inflight_keys.get(request.key)
-            if self.config.coalesce and computation is not None:
+            if computation is not None:
                 future.coalesced = True
                 self.stats.coalesce_hits += 1
                 computation.waiters.append(future)
             else:
-                computation = _Computation(
-                    request.key, example, method, registered=self.config.coalesce
-                )
+                computation = _Computation(request.key, example, method)
                 computation.waiters.append(future)
-                if self.config.coalesce:
-                    self._inflight_keys[request.key] = computation
+                self._inflight_keys[request.key] = computation
                 self._queue.append(computation)
-                self.stats.max_queue_depth = max(
-                    self.stats.max_queue_depth, len(self._queue)
-                )
                 self._wakeup.notify()
         return future
 
@@ -639,32 +606,16 @@ class ServingEngine:
         )
         if not future._resolve(response):
             return
-        span = ServeSpan(
-            method=future.request.method,
-            db_id=future.request.db_id,
-            status=status.value,
-            queue_wait_s=response.queue_wait_s,
-            service_s=response.service_s,
-            total_s=response.total_s,
-            coalesced=response.coalesced,
-            batch_size=response.batch_size,
-            cache=future.cache_state,
-        )
         if locked:
-            dropped = self._account_locked(future, status, span)
+            self._account_locked(future, status)
         else:
             with self._lock:
-                dropped = self._account_locked(future, status, span)
+                self._account_locked(future, status)
         tracer = get_tracer()
         if tracer.enabled:
-            ingest_serve_span(tracer.metrics, span)
-            if dropped:
-                registry = tracer.metrics
-                registry.count("serve_spans_dropped", method=span.method)
+            ingest_serve_span(tracer.metrics, response, future.cache_state)
 
-    def _account_locked(
-        self, future: ServeFuture, status: ServeStatus, span: ServeSpan
-    ) -> bool:
+    def _account_locked(self, future: ServeFuture, status: ServeStatus) -> None:
         if future.admitted:
             self._in_flight -= 1
         if status is ServeStatus.OK:
@@ -675,17 +626,6 @@ class ServingEngine:
             self.stats.rejected += 1
         else:
             self.stats.errors += 1
-        # The span ring is bounded: appending to a full deque evicts the
-        # oldest span, which must be counted, never silent (report-run
-        # serve sections would otherwise be skewed under sustained load).
-        dropped = (
-            self.request_log.maxlen is not None
-            and len(self.request_log) == self.request_log.maxlen
-        )
-        if dropped:
-            self.stats.spans_dropped += 1
-        self.request_log.append(span)
-        return dropped
 
     def _expire(self, future: ServeFuture) -> None:
         """Resolve one future as TIMEOUT (deadline passed); idempotent."""
@@ -757,11 +697,8 @@ class ServingEngine:
             )
             if not live:
                 # Every waiter is gone: shed the computation unrun.
-                if computation.registered and (
-                    self._inflight_keys.get(computation.key) is computation
-                ):
+                if self._inflight_keys.get(computation.key) is computation:
                     del self._inflight_keys[computation.key]
-                computation.registered = False
                 self.stats.shed += 1
         for waiter in expired:
             self._expire(waiter)
@@ -795,9 +732,7 @@ class ServingEngine:
         with self._lock:
             # Unregister first: later identical submissions start a fresh
             # computation instead of attaching to a resolved one.
-            if computation.registered and (
-                self._inflight_keys.get(computation.key) is computation
-            ):
+            if self._inflight_keys.get(computation.key) is computation:
                 del self._inflight_keys[computation.key]
             waiters = list(computation.waiters)
             if record is not None:

@@ -31,8 +31,9 @@ Inputs/outputs: a picklable
 :class:`~repro.datagen.benchmark.BenchmarkConfig` +
 :class:`~repro.serve.engine.ServeConfig` in;
 :class:`~repro.serve.engine.ServeResponse` lists (``/query`` bodies as
-bytes for the HTTP front end), per-shard stats dicts, and merged
-Prometheus-ready metric exports out.
+bytes for the HTTP front end), per-shard stats dicts, and the
+Prometheus-ready export of the parent's and every shard's
+:class:`~repro.obs.registry.MetricsRegistry`, merged, out.
 
 Thread/process safety: the public methods are synchronous wrappers that
 run a coroutine on the loop and wait for it, so they are safe from any
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 
 from repro.datagen.benchmark import BenchmarkConfig, Dataset
 from repro.errors import GatewayError
-from repro.obs.prometheus import merge_metric_exports, render_prometheus
+from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import ServeConfig, ServeRequest, ServeResponse, ServeStatus
 from repro.serve.gateway.ring import DEFAULT_VNODES, HashRing
@@ -576,11 +577,13 @@ class ShardedGateway:
         return self._run(self._healthz(), HEALTH_TIMEOUT_S + CALL_TIMEOUT_S)
 
     async def _metrics_export(self) -> dict:
-        exports = await self._each_shard(("metrics",))
-        return merge_metric_exports([self.metrics.as_dict(), *exports])
+        merged = MetricsRegistry()
+        for registry in (self.metrics, *await self._each_shard(("metrics",))):
+            merged.merge(registry)
+        return merged.as_dict()
 
     def metrics_export(self) -> dict:
-        """Merged ``MetricsRegistry.as_dict()`` export across shards + parent."""
+        """The ``as_dict()`` export of the parent's and every shard's registry, merged."""
         return self._run(self._metrics_export())
 
     def metrics_text(self) -> str:

@@ -18,11 +18,17 @@ a :class:`~repro.serve.engine.ServingEngine` restricted to that slice
 talks to it over its end of a socket pair, in the frames of
 :mod:`repro.serve.gateway.wire`, with ``(op, batch_id, ...)`` tuples;
 every request gets a ``(batch_id, ("ok" | "error", payload))`` reply,
-in the order the requests arrived.
+in the order the requests arrived.  After each reply the worker drains
+its tracer and folds the stage spans of the computations it ran into
+the tracer's registry with :func:`~repro.obs.registry.ingest_span`, as
+offline runs do, so a shard keeps no span: ``/metrics`` carries them
+as ``stage_seconds``, ``failures``, ``llm_calls`` and the span-counter
+families.
 
 Inputs/outputs: frames in (``serve`` / ``apply`` / ``invalidate`` /
-``stats`` / ``metrics`` / ``ping`` / ``shutdown``); counter dicts,
-registry exports, or the replies to ``serve``, which come in one of two
+``stats`` / ``metrics`` / ``ping`` / ``shutdown``); counter dicts, the
+shard's :class:`~repro.obs.registry.MetricsRegistry` (for ``metrics``),
+or the replies to ``serve``, which come in one of two
 forms.  A ``serve`` message is ``("serve", batch_id, items, bodies)``:
 with ``bodies`` false the reply is the
 :class:`~repro.serve.engine.ServeResponse` list (what
@@ -45,6 +51,7 @@ import socket
 from dataclasses import replace
 
 from repro.datagen.benchmark import BenchmarkConfig, build_benchmark
+from repro.obs.registry import ingest_span
 from repro.obs.trace import Tracer, tracing
 from repro.serve.engine import ServeConfig, ServeRequest, ServingEngine
 from repro.serve.gateway.ring import HashRing
@@ -101,6 +108,10 @@ def _serve_loop(sock, engine, dataset, tracer, shard_id, owned) -> None:
             send_frame(sock, (batch_id, ("error", f"{type(exc).__name__}: {exc}")))
         else:
             send_frame(sock, (batch_id, ("ok", payload)))
+        # Off the reply's path: the next message, a ``metrics`` one
+        # included, finds these spans in the registry and none kept.
+        for span in tracer.drain():
+            ingest_span(tracer.metrics, dataset.name, span)
 
 
 def _dispatch(message, engine, dataset, tracer, shard_id, owned):
@@ -131,7 +142,7 @@ def _dispatch(message, engine, dataset, tracer, shard_id, owned):
             "pool": engine.pool_stats(),
         }
     if op == "metrics":
-        return tracer.metrics.as_dict()
+        return tracer.metrics
     if op == "ping":
         return {
             "shard": shard_id,

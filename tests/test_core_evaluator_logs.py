@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.evaluator import Evaluator, gold_key
+from repro.core.evaluator import Evaluator
 from repro.core.logs import ExperimentLogStore
+from repro.datagen.benchmark import build_benchmark
 from repro.methods.zoo import build_method
+
+from tests.conftest import null_value_columns, small_benchmark_config
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +41,25 @@ class TestEvaluator:
         evaluator.evaluate_method(method, examples=small_dataset.dev_examples[:5])
         assert len(evaluator._gold_cache) == cache_size  # same golds, no growth
 
-    def test_gold_key_separates_data_versions(self, small_dataset):
-        # A content mutation must never serve a gold result computed
-        # before it.
-        example = small_dataset.dev_examples[0]
-        assert gold_key(example, 3) != gold_key(example, 4)
+    def test_a_write_rescores_against_the_new_gold_rows(self):
+        # Never write to the session-scoped small_dataset.
+        dataset = build_benchmark(small_benchmark_config())
+        try:
+            method = build_method("DAILSQL")
+            evaluator = Evaluator(dataset, measure_timing=False)
+            before = evaluator.evaluate_method(method).records
+            null_value_columns(dataset)
+            after = evaluator.evaluate_method(method).records
+            fresh = Evaluator(dataset, measure_timing=False)
+            expected = fresh.evaluate_method(build_method("DAILSQL")).records
+            # No record is scored against the rows from before the write.
+            assert after == expected
+            assert sum(a.ex != b.ex for a, b in zip(after, before)) > 0
+            # One entry per distinct gold query, however many writes.
+            distinct = {(e.db_id, e.gold_sql) for e in dataset.dev_examples}
+            assert len(evaluator._gold_cache) == len(distinct)
+        finally:
+            dataset.close()
 
     def test_subset_evaluation(self, small_dataset):
         evaluator = Evaluator(small_dataset, measure_timing=False)

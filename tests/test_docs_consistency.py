@@ -115,6 +115,8 @@ class TestOneRuntimeSwitch:
     #: test clock, and the serving option no caller set; the memo switch
     #: (``caches_disabled()``) is the one runtime switch left.  Then the
     #: parallel evaluator's thread pool and the options only tests set.
+    #: Then the serving request log, its span record and drop counter, the
+    #: dict-level metric merge, and the ``ServeConfig`` options no caller set.
     RETIRED = (
         "batching_enabled", "batching_disabled", "set_batching_enabled",
         "pooling_enabled", "pooling_disabled", "set_pooling_enabled",
@@ -122,6 +124,9 @@ class TestOneRuntimeSwitch:
         "serve_cache_expirations",
         "min_process_work", "last_run_fresh", "benchmark_config",
         "_evaluate_threads", 'executor="thread"', "fall back to a thread pool",
+        "ServeSpan", "request_log", "spans_dropped", "max_queue_depth",
+        "merge_metric_exports", "response_cache_size", "`coalesce`",
+        "coalesce=", "ServeConfig(repair", "`repair` | `False`",
     )
 
     def test_no_doc_names_a_retired_switch_or_option(self):
@@ -264,7 +269,6 @@ class TestGatewayDocs:
         for metric in (
             "gateway_requests", "gateway_apply_writes",
             "gateway_invalidations", "gateway_worker_errors",
-            "serve_spans_dropped",
         ):
             assert f"`{metric}`" in serving, f"{metric} not in SERVING.md"
             assert f"`{metric}`" in observability, (
@@ -346,13 +350,6 @@ class TestPipelineDocs:
         reference = _read("docs/PIPELINE.md")
         assert "examples/repair_quickstart.py" in reference
         assert (ROOT / "examples" / "repair_quickstart.py").exists()
-
-    def test_serve_repair_knob_exists(self):
-        import dataclasses
-        from repro.serve import ServeConfig
-        assert "repair" in {
-            f.name for f in dataclasses.fields(ServeConfig)
-        }
 
 
 def _span_counter_table() -> dict[str, tuple[str, str]]:

@@ -314,22 +314,6 @@ class TestServeCacheReporting:
                                        dataset="x")
         assert cold_report.equivalence_key() == warm_report.equivalence_key()
 
-    def test_report_surfaces_serve_spans_dropped(self, sequential_traced):
-        reports, spans, _ = sequential_traced
-        records = reports[METHODS[0]].records
-        metrics = MetricsRegistry()
-        metrics.count("serve_spans_dropped", value=4, method="C3SQL")
-        report = build_run_report(records, spans=spans, metrics=metrics,
-                                  dataset="x")
-        assert report.cache["serve_spans_dropped"] == 4
-        markdown = render_markdown(report)
-        assert "serve spans dropped from the request log: 4" in markdown
-        # Drop counts are schedule-sensitive: they must not perturb the
-        # sequential/parallel equivalence key.
-        clean = build_run_report(records, spans=spans,
-                                 metrics=MetricsRegistry(), dataset="x")
-        assert report.equivalence_key() == clean.equivalence_key()
-
 
 class TestWarmCacheSpans:
     def test_cache_served_examples_get_synthetic_spans(self, small_dataset):

@@ -1,5 +1,6 @@
 """Unit tests for repro.obs: tracer, metrics registry, failure taxonomy."""
 
+import pickle
 import threading
 
 import pytest
@@ -220,6 +221,19 @@ class TestMetricsRegistry:
         assert merged_a.counter_total("hits") == 3
         [(_, _, summary)] = merged_a.histograms()
         assert (summary.count, summary.minimum, summary.maximum) == (3, 1.0, 5.0)
+
+    def test_pickle_round_trip_keeps_every_metric(self):
+        # Gateway shards return their registry over a socket, pickled.
+        registry = MetricsRegistry()
+        registry.count("hits", method="A")
+        registry.count("hits", value=2.0, method="B")
+        for value in (0.5, 1.5):
+            registry.observe("cost", value, method="A")
+        copy = pickle.loads(pickle.dumps(registry))
+        assert copy.as_dict() == registry.as_dict()
+        copy.count("hits", method="A")  # the copy has a lock of its own
+        assert copy.counter_total("hits", method="A") == 2
+        assert registry.counter_total("hits", method="A") == 1
 
     def test_as_dict_is_deterministic(self):
         registry = MetricsRegistry()

@@ -1,13 +1,14 @@
 """Tests for the online serving engine (repro.serve).
 
 The load-bearing property is serve/offline equivalence: under any
-schedule — concurrent clients, micro-batching, coalescing on or off —
-every OK response must carry the exact
+schedule — concurrent clients, micro-batching, coalescing, the response
+cache on or off — every OK response must carry the exact
 :class:`~repro.core.metrics.EvaluationRecord` the offline
 :class:`~repro.core.evaluator.Evaluator` produces for the same
 ``(method, example)``.  The remaining tests pin the deterministic
 scheduler counters (coalesce hits, computed, shed), admission control,
-deadline semantics, warm start, and the ``serve_*`` metrics surface.
+deadline semantics, warm start, and the ``serve_*`` metrics surface;
+a repair-enabled method served in process gives the offline records too.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from dataclasses import replace
 
 import pytest
 
+from contextlib import nullcontext
+
 from repro.core.evaluator import Evaluator
 from repro.datagen.benchmark import build_benchmark
 from repro.errors import ServeError, ServeOverloaded, ServeTimeout
-from repro.methods.zoo import build_method
+from repro.methods.zoo import build_method, with_repair
 from repro.obs.trace import tracing
 from repro.serve import (
     ResponseCache,
@@ -37,6 +40,7 @@ from repro.serve import (
     build_workload,
     question_index,
 )
+from repro.utils.cache import caches_disabled
 
 from tests.conftest import small_benchmark_config
 
@@ -79,12 +83,12 @@ def make_engine(small_dataset, served_method, **overrides):
 class TestServeOfflineEquivalence:
     """Served records are bit-identical to offline ones under any schedule."""
 
-    @pytest.mark.parametrize("coalesce", [True, False])
+    @pytest.mark.parametrize("response_cache", [True, False])
     def test_concurrent_clients_match_offline(
-        self, small_dataset, served_method, workload, offline_records, coalesce
+        self, small_dataset, served_method, workload, offline_records, response_cache
     ):
         clients = 4
-        rng = random.Random(0xC0FFEE + coalesce)
+        rng = random.Random(0xC0FFEE + response_cache)
         shuffled = list(workload)
         rng.shuffle(shuffled)
         slices = [shuffled[cid::clients] for cid in range(clients)]
@@ -97,7 +101,9 @@ class TestServeOfflineEquivalence:
                 with lock:
                     responses.append(response)
 
-        with make_engine(small_dataset, served_method, coalesce=coalesce) as engine:
+        with make_engine(
+            small_dataset, served_method, response_cache=response_cache
+        ) as engine:
             threads = [
                 threading.Thread(target=client, args=(part,)) for part in slices
             ]
@@ -133,16 +139,6 @@ class TestCoalescing:
         assert engine.stats.computed == distinct
         coalesced = sum(1 for response in responses if response.coalesced)
         assert coalesced == engine.stats.coalesce_hits
-
-    def test_disabled_coalescing_computes_every_request(
-        self, small_dataset, served_method, workload
-    ):
-        requests = list(workload)[:12]
-        with make_engine(small_dataset, served_method, coalesce=False) as engine:
-            responses = engine.serve(requests, submit_paused=True)
-        assert all(response.ok for response in responses)
-        assert engine.stats.coalesce_hits == 0
-        assert engine.stats.computed == len(requests)
 
 
 class TestMicroBatching:
@@ -188,11 +184,10 @@ class TestAdmissionControl:
         self, small_dataset, served_method, workload
     ):
         request = workload[0]
-        with make_engine(
-            small_dataset, served_method, coalesce=False, max_in_flight=1
-        ) as engine:
+        with make_engine(small_dataset, served_method, max_in_flight=1) as engine:
             engine.pause()
             admitted = engine.submit(request)
+            # Admission is checked before coalescing: the same key is refused.
             rejected = engine.submit(request)
             assert rejected.done()
             response = rejected.response()
@@ -307,17 +302,20 @@ class TestServeObservability:
         assert metrics.counter_total("serve_coalesce_hits", method=METHOD) == 1
         histograms = {name for name, _labels, _summary in metrics.histograms()}
         assert {"serve_queue_wait_s", "serve_service_s", "serve_latency_s"} <= histograms
-        assert len(engine.request_log) == 3
+        assert all(
+            summary.count == 3 for name, _labels, summary in metrics.histograms()
+            if name.startswith("serve_")
+        )
 
-    def test_request_log_spans_carry_batch_metadata(
+    def test_responses_carry_batch_metadata(
         self, small_dataset, served_method, workload
     ):
         with make_engine(small_dataset, served_method) as engine:
-            engine.serve([workload[0], workload[1]], submit_paused=True)
-        for span in engine.request_log:
-            assert span.status == ServeStatus.OK.value
-            assert span.batch_size >= 1
-            assert span.method == METHOD
+            responses = engine.serve([workload[0], workload[1]], submit_paused=True)
+        for response in responses:
+            assert response.status is ServeStatus.OK
+            assert response.batch_size >= 1
+            assert response.request.method == METHOD
 
 
 class TestWorkload:
@@ -673,42 +671,6 @@ class TestLifecycleListeners:
         assert tracer.metrics.counter_total("serve_cache_stores") == 1
 
 
-class TestRequestLogDropCounter:
-    """Span-ring overflow is counted, never silent."""
-
-    def test_overflow_increments_spans_dropped_deterministically(
-        self, small_dataset, served_method, workload
-    ):
-        distinct = [
-            request for i, request in enumerate(workload)
-            if request.key not in {r.key for r in workload[:i]}
-        ]
-        assert len(distinct) >= 6
-        with tracing() as tracer:
-            with make_engine(
-                small_dataset, served_method, request_log_size=4
-            ) as engine:
-                for request in distinct[:6]:
-                    assert engine.submit(request).response().ok
-        assert engine.stats.spans_dropped == 2
-        assert len(engine.request_log) == 4
-        # The four newest spans survive; the drop shows up as a metric.
-        assert tracer.metrics.counter_total(
-            "serve_spans_dropped", method=METHOD
-        ) == 2
-
-    def test_no_drops_below_capacity(self, small_dataset, served_method, workload):
-        with make_engine(
-            small_dataset, served_method, request_log_size=64
-        ) as engine:
-            engine.serve(list(workload)[:8], submit_paused=True)
-        assert engine.stats.spans_dropped == 0
-
-    def test_request_log_size_must_be_positive(self, small_dataset, served_method):
-        with pytest.raises(ServeError):
-            make_engine(small_dataset, served_method, request_log_size=0)
-
-
 class TestDbIdRestriction:
     """ServeConfig.db_ids scopes warmup, listeners, and admission."""
 
@@ -748,3 +710,53 @@ class TestDbIdRestriction:
         with pytest.raises(ServeError):
             make_engine(small_dataset, served_method, db_ids=("no_such_db",))
 
+
+
+class TestServedRepair:
+    """A repair-enabled method served in process gives the offline records,
+    as docs/PIPELINE.md's determinism contract says."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, small_dataset):
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        report = evaluator.evaluate_method(with_repair(build_method(METHOD, seed=42)))
+        return {record.example_id: record for record in report.records}
+
+    @pytest.mark.parametrize("caches", [True, False], ids=["caches_on", "caches_off"])
+    def test_concurrent_clients_match_offline(self, small_dataset, reference, caches):
+        method = with_repair(build_method(METHOD, seed=42))
+        method.prepare(small_dataset)
+        index = question_index(small_dataset)
+        requests = [
+            ServeRequest(METHOD, example.db_id, example.question)
+            for example in small_dataset.dev_examples
+        ] * 2
+        random.Random(11).shuffle(requests)
+        clients = 4
+        responses: list = []
+        lock = threading.Lock()
+
+        def client(part: list[ServeRequest]) -> None:
+            for request in part:
+                response = engine.submit(request).response()
+                with lock:
+                    responses.append(response)
+
+        config = ServeConfig(methods=(METHOD,), workers=4, response_cache=caches)
+        with nullcontext() if caches else caches_disabled(), tracing() as tracer:
+            with ServingEngine(small_dataset, config, methods={METHOD: method}) as engine:
+                threads = [
+                    threading.Thread(target=client, args=(requests[cid::clients],))
+                    for cid in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+            spans = tracer.drain()
+        assert len(responses) == len(requests)
+        for response in responses:
+            assert response.ok, response.error
+            example = index[(response.request.db_id, response.request.question)]
+            assert response.record == reference[example.example_id]
+        assert any(stage.stage == "repair" for span in spans for stage in span.stages)

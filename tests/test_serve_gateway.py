@@ -7,7 +7,9 @@ offline :class:`~repro.core.evaluator.Evaluator`, the single-process
 :class:`~repro.serve.engine.ServingEngine`, and the gateway at 1, 2,
 and 4 shards — with exact per-shard cache/invalidation counters at
 every layout.  The remaining tests pin the consistent-hash ring, the
-Prometheus merge/render pair, write/invalidation routing, and the HTTP
+Prometheus rendering, the one metrics path (each shard folds its stage
+spans into its registry and keeps none; ``/metrics`` merges the parent's
+and every shard's registry), write/invalidation routing, and the HTTP
 surface.  The memo switch's trip across the spawn boundary is checked in
 ``tests/test_mode_identity.py``.
 """
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -54,11 +57,13 @@ from repro.serve.gateway import (
     response_to_dict,
     stable_hash,
 )
-from repro.serve.gateway import cluster, wire
+from repro.serve.gateway import cluster, wire, worker
 from repro.serve.gateway import http as gateway_http
 from repro.serve.gateway.cluster import DEADLINE_GRACE_S, HEALTH_TIMEOUT_S
 from repro.methods.zoo import build_method
-from repro.obs.prometheus import merge_metric_exports, render_prometheus
+from repro.obs.prometheus import render_prometheus
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer, tracing
 from repro.utils.cache import caches_disabled
 
 from tests.conftest import edit_one_row_sql, small_benchmark_config
@@ -163,45 +168,6 @@ class TestHashRing:
 
 
 class TestPrometheus:
-    def test_merge_sums_counters_by_name_and_labels(self):
-        merged = merge_metric_exports([
-            {"counters": [
-                {"name": "serve_requests", "labels": {"method": "A"}, "value": 2.0},
-                {"name": "serve_requests", "labels": {"method": "B"}, "value": 1.0},
-            ]},
-            {"counters": [
-                {"name": "serve_requests", "labels": {"method": "A"}, "value": 3.0},
-            ]},
-        ])
-        assert merged["counters"] == [
-            {"name": "serve_requests", "labels": {"method": "A"}, "value": 5.0},
-            {"name": "serve_requests", "labels": {"method": "B"}, "value": 1.0},
-        ]
-
-    def test_merge_combines_histograms_exactly(self):
-        merged = merge_metric_exports([
-            {"histograms": [{
-                "name": "latency", "labels": {}, "count": 2, "total": 3.0,
-                "mean": 1.5, "min": 1.0, "max": 2.0,
-            }]},
-            {"histograms": [{
-                "name": "latency", "labels": {}, "count": 1, "total": 0.5,
-                "mean": 0.5, "min": 0.5, "max": 0.5,
-            }]},
-        ])
-        (entry,) = merged["histograms"]
-        assert entry["count"] == 3
-        assert entry["total"] == 3.5
-        assert entry["min"] == 0.5
-        assert entry["max"] == 2.0
-
-    def test_merge_is_order_independent(self):
-        exports = [
-            {"counters": [{"name": "x", "labels": {"s": "0"}, "value": 1.0}]},
-            {"counters": [{"name": "x", "labels": {"s": "1"}, "value": 2.0}]},
-        ]
-        assert merge_metric_exports(exports) == merge_metric_exports(exports[::-1])
-
     def test_render_emits_sorted_typed_families(self):
         text = render_prometheus({
             "counters": [
@@ -352,8 +318,7 @@ class TestCrossTopologyEquivalence:
     ):
         method = build_method(METHOD, seed=42)
         method.prepare(small_dataset)
-        # A request log smaller than the trace, so span drops are exact too.
-        config = gateway_serve_config(request_log_size=16)
+        config = gateway_serve_config()
         from repro.serve import ServingEngine
 
         # Fill pass over the distinct keys, then the full trace: this
@@ -397,9 +362,113 @@ class TestCrossTopologyEquivalence:
             assert entry["engine"]["errors"] == 0
             submitted = distinct_by_shard.get(shard, 0) + total_by_shard.get(shard, 0)
             assert entry["engine"]["submitted"] == submitted
-            assert entry["engine"]["spans_dropped"] == max(
-                0, submitted - config.request_log_size
+
+
+def _counter(export: dict, name: str) -> float:
+    """Sum of ``export``'s counter series named ``name``."""
+    return sum(entry["value"] for entry in export["counters"] if entry["name"] == name)
+
+
+class TestShardMetrics:
+    """One metrics path: a shard folds the stage spans of what it computed
+    into its registry after each message and keeps none, and ``/metrics``
+    is the merge of the parent's and every shard's registry."""
+
+    def test_a_shard_keeps_no_span_after_answering(self, small_dataset, workload):
+        distinct = list({request.key: request for request in workload}.values())
+        method = build_method(METHOD, seed=42)
+        method.prepare(small_dataset)
+        index = question_index(small_dataset)
+        evaluator = Evaluator(small_dataset, measure_timing=False)
+        with tracing(Tracer()) as offline:
+            for request in distinct:
+                evaluator.evaluate_example(method, index[(request.db_id, request.question)])
+            expected = Counter(
+                stage.stage for span in offline.drain() for stage in span.stages
             )
+        items = [(r.method, r.db_id, r.question, r.deadline_s) for r in distinct]
+        tracer = Tracer()
+        parent, child = socket.socketpair()
+        with parent, child, tracing(tracer):
+            with ServingEngine(small_dataset, gateway_serve_config()) as engine:
+                loop = threading.Thread(target=worker._serve_loop, args=(
+                    child, engine, small_dataset, tracer, 0, sorted(small_dataset.databases),
+                ))
+                loop.start()
+                try:
+                    wire.send_frame(parent, ("serve", 1, items, False))
+                    _, (kind, responses) = wire.recv_frame(parent)
+                    # The next message is read only after the fold.
+                    wire.send_frame(parent, ("metrics", 2))
+                    _, (_, registry) = wire.recv_frame(parent)
+                    held = tracer.drain()
+                finally:
+                    wire.send_frame(parent, ("shutdown",))
+                    loop.join()
+        assert kind == "ok" and all(response.ok for response in responses)
+        assert held == []
+        observed = {
+            labels["stage"]: summary.count
+            for name, labels, summary in registry.histograms()
+            if name == "stage_seconds"
+        }
+        assert observed == dict(expected)
+
+    @pytest.fixture(scope="class")
+    def traced(self, workload):
+        """A fresh 2-shard gateway after one fixed trace: its responses, its
+        ``metrics_export()``, and the parent's and each shard's registry."""
+        first = workload[0]
+        trace = list(workload) * 2 + [
+            dataclasses.replace(first, deadline_s=0.0),
+            ServeRequest(METHOD, first.db_id, AWKWARD_QUESTION),
+        ]
+        with ShardedGateway(
+            small_benchmark_config(), gateway_serve_config(), shards=2
+        ) as gw:
+            responses = gw.serve(trace)
+            export = gw.metrics_export()
+            shards = gw._run(gw._each_shard(("metrics",)))
+            computed = sum(entry["engine"]["computed"] for entry in gw.shard_stats())
+            return responses, export, gw.metrics, shards, computed
+
+    def test_metrics_export_is_the_merge_of_every_registry(self, traced):
+        _, export, parent, shards, _ = traced
+        assert len(shards) == 2
+        merged = MetricsRegistry()
+        for registry in (parent, *shards):
+            merged.merge(registry)
+        expected = merged.as_dict()
+        assert export["counters"] == expected["counters"]
+
+        def counts(histograms):
+            return [(h["name"], h["labels"], h["count"]) for h in histograms]
+
+        assert counts(export["histograms"]) == counts(expected["histograms"])
+
+    def test_serve_counters_match_the_responses(self, traced):
+        responses, export, _, _, computed = traced
+        served = {
+            (entry["labels"]["method"], entry["labels"]["status"]): entry["value"]
+            for entry in export["counters"] if entry["name"] == "serve_requests"
+        }
+        assert served == Counter(
+            (response.request.method, response.status.value) for response in responses
+        )
+        statuses = Counter(response.status for response in responses)
+        assert statuses[ServeStatus.TIMEOUT] == statuses[ServeStatus.ERROR] == 1
+        assert _counter(export, "serve_coalesce_hits") == sum(r.coalesced for r in responses)
+        assert _counter(export, "serve_cache_hits") == sum(r.cached for r in responses)
+        assert _counter(export, "serve_cache_misses") == sum(
+            r.ok and not r.cached for r in responses
+        )
+        assert _counter(export, "serve_timeouts") == statuses[ServeStatus.TIMEOUT]
+        # Every computation's stage spans reach /metrics: one score stage each.
+        (score,) = [
+            h for h in export["histograms"]
+            if h["name"] == "stage_seconds" and h["labels"]["stage"] == "score"
+        ]
+        assert score["count"] == computed > 0
 
 
 class TestMutationPropagation:

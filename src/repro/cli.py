@@ -91,7 +91,8 @@ def _print_eval_stats(evaluator: ParallelEvaluator) -> None:
         f"[engine] predictions={stats.predictions}"
         f" cache_hits={stats.cache_hits}"
         f" gold_executions={stats.gold_executions}"
-        f" parallel_tasks={stats.parallel_tasks}",
+        f" parallel_tasks={stats.parallel_tasks}"
+        f" pool_failures={stats.pool_failures}",
         file=sys.stderr,
     )
     lru = lru_cache_stats()

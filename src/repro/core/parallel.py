@@ -11,14 +11,20 @@ bottlenecks removed:
    ``_PROCESS_MIN_WORK`` pending examples is sharded in contiguous
    chunks across a :class:`~concurrent.futures.ProcessPoolExecutor`.
    ``sqlite3`` connections are not picklable, so each worker's
-   initializer rebuilds the dataset deterministically from
-   ``dataset.config`` (the build is seeded, so workers own
-   byte-identical databases).  Everything else runs in-process:
-   smaller batches, methods a worker cannot rebuild (see
-   :meth:`MethodSpec.from_method`), ``prepare=False`` calls, and
-   datasets written to since they were built
-   (:meth:`~repro.datagen.benchmark.Dataset.as_built` is false), whose
-   rows a rebuild would not reproduce.
+   initializer restores the coordinator's
+   :class:`~repro.datagen.benchmark.DatasetImage` (SQLite's
+   ``serialize`` bytes plus the examples; milliseconds, where building
+   the dataset again took most of a second): workers hold exactly the
+   coordinator's rows, a dataset written since its build included.  A
+   pool whose image predates a write (a ``data_version`` moved) is
+   replaced by one from a fresh image before its next batch.
+   Everything else runs in-process: smaller batches, methods a worker
+   cannot rebuild (see :meth:`MethodSpec.from_method`) and
+   ``prepare=False`` calls.  A pool that breaks (a worker died) or
+   leaves a chunk unanswered for ``_CHUNK_TIMEOUT_S`` is dropped, its
+   unanswered chunks run in-process (the reference path, so records do
+   not change), ``stats.pool_failures`` counts the event, and the next
+   batch starts a new pool.
 2. **Gold-execution precompute.**  Each distinct (db_id, gold_sql) pair
    is executed exactly once per dataset — in the coordinating process —
    and the timed result is shared with every method and every worker,
@@ -39,7 +45,7 @@ off, parallel output is bit-identical to the sequential evaluator's.
 The hot-path memo layers (few-shot index, intent memo, PICARD verdict
 memo, candidate-execution LRU, schema-linking string memos — see
 ``repro.utils.cache``) are adopted transparently: process workers
-rebuild them lazily via each method's ``prepare`` (the few-shot index
+fill them lazily via each method's ``prepare`` (the few-shot index
 registry is keyed by corpus content), and every layer returns
 bit-identical values to the uncached path, so sharding with caches on
 still reproduces the sequential record stream.
@@ -64,23 +70,30 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.evaluator import Evaluator, GoldCache, gold_key
 from repro.core.logs import ExperimentLogStore
 from repro.core.metrics import EvaluationRecord, MethodReport
 from repro.core.taxonomy import classify_failure
-from repro.datagen.benchmark import BenchmarkConfig, Dataset, Example, build_benchmark
+from repro.datagen.benchmark import Dataset, DatasetImage, Example
 from repro.methods.base import MethodGroup, NL2SQLMethod, PipelineMethod
 from repro.modules.base import PipelineConfig
 from repro.utils.cache import caches_enabled, lru_cache_stats, set_caches_enabled
 from repro.obs.trace import ExampleSpan, Tracer, get_tracer, set_tracer
 from repro.utils.rng import stable_hash
 
-# Below this many pending examples a process pool is not worth its
-# worker-initialization cost (each worker rebuilds the dataset); such
-# batches run in-process.
+# Below this many pending examples a batch runs in-process: a worker
+# restores the dataset in milliseconds, but prepares each method afresh
+# and ships every record back.
 _PROCESS_MIN_WORK = 32
+
+# The longest the coordinator waits for one chunk after the previous one
+# came back.  A chunk is a few dozen examples, seconds of work; on expiry
+# the pool's workers are killed and the chunks run in-process, so a false
+# expiry on a slow host costs time, never a record.
+_CHUNK_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,7 @@ class EvalStats:
     cache_hits: int = 0         # examples served by the cross-run cache
     gold_executions: int = 0    # distinct gold queries executed (precompute)
     parallel_tasks: int = 0     # chunks dispatched to the process pool
+    pool_failures: int = 0      # pools dropped for a dead worker or a missed bound
     fresh_by_method: dict[str, int] = field(default_factory=dict)
 
 
@@ -137,14 +151,14 @@ def result_fingerprint(
 
 # -- worker side -------------------------------------------------------------
 
-# Per-process state, populated by the pool initializer: the rebuilt
+# Per-process state, populated by the pool initializer: the restored
 # dataset, an evaluator over it, an example index, and prepared methods
 # keyed by MethodSpec.key() so repeated chunks skip re-preparation.
 _WORKER: dict = {}
 
 
 def _worker_init(
-    config: BenchmarkConfig,
+    image: DatasetImage,
     measure_timing: bool,
     timing_repeats: int,
     trace_enabled: bool = False,
@@ -154,7 +168,7 @@ def _worker_init(
     # switch to its default, so the coordinator's choice is re-applied
     # (fork inherits it, harmlessly re-applied).
     set_caches_enabled(caches)
-    dataset = build_benchmark(config)
+    dataset = Dataset.from_image(image)
     _WORKER["dataset"] = dataset
     _WORKER["evaluator"] = Evaluator(
         dataset, measure_timing=measure_timing, timing_repeats=timing_repeats
@@ -223,6 +237,8 @@ class ParallelEvaluator(Evaluator):
         self.use_result_cache = use_result_cache and log_store is not None
         self.stats = EvalStats()
         self._pool: ProcessPoolExecutor | None = None
+        # Each database's data_version in the image the pool's workers hold.
+        self._pool_versions: dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -239,14 +255,27 @@ class ParallelEvaluator(Evaluator):
         self.close()
 
     def _process_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, started from a fresh dataset image when needed.
+
+        A pool whose image predates a write to any database is shut down
+        first: its workers hold the rows from before the write.
+        """
+        if self._pool is not None and self._pool_versions != {
+            db_id: database.data_version for db_id, database in self.dataset.databases.items()
+        }:
+            self.close()
         if self._pool is None:
+            image = self.dataset.image()
+            self._pool_versions = {
+                db_id: database.data_version for db_id, database in image.databases.items()
+            }
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
                 # Tracing state is captured at pool creation: toggle the
                 # ambient tracer before the first parallel evaluate call.
                 initargs=(
-                    self.dataset.config,
+                    image,
                     self.measure_timing,
                     self.timing_repeats,
                     get_tracer().enabled,
@@ -255,31 +284,68 @@ class ParallelEvaluator(Evaluator):
             )
         return self._pool
 
+    def _drop_pool(self) -> None:
+        """Kill the pool's own workers and shut it down, after a failure."""
+        pool, self._pool = self._pool, None
+        # The executor's process map is the only handle on its workers.  A
+        # stopped worker would block shutdown's join, and SIGKILL ends it;
+        # killing a dead one is a no-op.
+        for process in list((pool._processes or {}).values()):
+            process.kill()
+        pool.shutdown(wait=True, cancel_futures=True)
+        self.stats.pool_failures += 1
+
     # -- evaluation -----------------------------------------------------
 
     def _evaluate_process(
-        self, spec: MethodSpec, pending: list[Example]
+        self, method: NL2SQLMethod, spec: MethodSpec, pending: list[Example]
     ) -> list[EvaluationRecord]:
         pool = self._process_pool()
         # Aim for a few chunks per worker so stragglers rebalance.
         size = -(-len(pending) // (self.jobs * 4))
+        chunks = [pending[start : start + size] for start in range(0, len(pending), size)]
         futures: list[Future] = []
-        for start in range(0, len(pending), size):
-            chunk = pending[start : start + size]
-            # Ship the chunk's precomputed gold results along with the
-            # task: any worker can serve any chunk without re-execution.
-            # Entries carry the coordinator's data_version, which the
-            # worker's freshly-built dataset reproduces deterministically.
-            gold_updates = {gold_key(e): self._gold_cache[gold_key(e)] for e in chunk}
-            ids = [e.example_id for e in chunk]
-            futures.append(pool.submit(_worker_evaluate, spec, ids, gold_updates))
-            self.stats.parallel_tasks += 1
+        try:
+            for chunk in chunks:
+                # Ship the chunk's precomputed gold results along with the
+                # task: any worker can serve any chunk without re-execution.
+                # Entries carry the coordinator's data_version, which the
+                # worker's restored databases hold too.
+                gold_updates = {gold_key(e): self._gold_cache[gold_key(e)] for e in chunk}
+                ids = [e.example_id for e in chunk]
+                futures.append(pool.submit(_worker_evaluate, spec, ids, gold_updates))
+                self.stats.parallel_tasks += 1
+        except BrokenProcessPool:
+            pass  # a worker died (it may have been idle): the rest stay here
+        results: list[tuple | None] = [None] * len(chunks)
+        failed = len(futures) < len(chunks)
+        for index, future in enumerate(futures):
+            try:
+                results[index] = future.result(timeout=_CHUNK_TIMEOUT_S)
+            except (BrokenProcessPool, TimeoutError):
+                failed = True
+                break
+        if failed:
+            self._drop_pool()
+            # Every future is settled once the pool is shut down; keep the
+            # chunks that came back before it went down.
+            for index, future in enumerate(futures):
+                if results[index] is None and not future.cancelled() and future.exception() is None:
+                    results[index] = future.result()
         trace = get_tracer()
         records: list[EvaluationRecord] = []
-        for future in futures:
-            chunk_records, chunk_spans = future.result()
-            records.extend(chunk_records)
-            trace.add_spans(chunk_spans)
+        prepared = False
+        for chunk, result in zip(chunks, results):
+            if result is None:
+                # The pool never answered this chunk: run the reference path.
+                if not prepared:
+                    method.prepare(self.dataset)
+                    prepared = True
+                records.extend(self.evaluate_example(method, example) for example in chunk)
+            else:
+                chunk_records, chunk_spans = result
+                records.extend(chunk_records)
+                trace.add_spans(chunk_spans)
         return records
 
     def evaluate_method(
@@ -297,12 +363,11 @@ class ParallelEvaluator(Evaluator):
         lru_before = lru_cache_stats()
         pool_before = self.pool_totals()
         spec = MethodSpec.from_method(method)
-        # Pool workers rebuild the dataset from its recipe and the result
-        # cache keys on that recipe: neither sees a write since the build.
-        as_built = self.dataset.as_built()
         cached: dict[str, EvaluationRecord] = {}
         fingerprint: str | None = None
-        if self.use_result_cache and spec is not None and as_built:
+        # The result cache keys on the build recipe, which names the rows
+        # only until the first write.
+        if self.use_result_cache and spec is not None and self.dataset.as_built():
             fingerprint = result_fingerprint(
                 method, self.dataset, self.measure_timing, self.timing_repeats
             )
@@ -317,14 +382,8 @@ class ParallelEvaluator(Evaluator):
         if pending:
             fresh_gold = self.precompute_gold(pending)
             self.stats.gold_executions += fresh_gold
-            if (
-                self.jobs > 1
-                and len(pending) >= _PROCESS_MIN_WORK
-                and spec is not None
-                and prepare
-                and as_built
-            ):
-                records = self._evaluate_process(spec, pending)
+            if self.jobs > 1 and len(pending) >= _PROCESS_MIN_WORK and spec is not None and prepare:
+                records = self._evaluate_process(method, spec, pending)
             else:
                 if prepare:
                     method.prepare(self.dataset)

@@ -4,7 +4,9 @@
 of Spider or BIRD: per-domain databases (train/dev splits), populated
 SQLite contents, and (NL, SQL) examples sampled from the intent grammar
 with a shape mix matched to the target hardness distribution, plus NL
-paraphrase variants for query-variance testing.
+paraphrase variants for query-variance testing.  :meth:`Dataset.image`
+and :meth:`Dataset.from_image` copy a built (or since written) dataset
+into another process without building it again.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.datagen.paraphrase import paraphrase_question
 from repro.datagen.populate import populate_database
 from repro.datagen.schema_gen import generate_schema
 from repro.datagen.sql_render import render_intent_sql
-from repro.dbengine.database import Database
+from repro.dbengine.database import Database, DatabaseImage
 from repro.dbengine.executor import execute_sql
 from repro.errors import DataGenerationError
 from repro.sqlkit.hardness import BirdDifficulty, Hardness, classify_bird_difficulty, classify_hardness
@@ -102,6 +104,18 @@ class Example:
     intent: QueryIntent | None = None
 
 
+@dataclass(frozen=True)
+class DatasetImage:
+    """A picklable copy of a :class:`Dataset`: its examples, recipe and
+    build versions plus one :class:`DatabaseImage` per database."""
+
+    name: str
+    examples: list[Example]
+    databases: dict[str, DatabaseImage]
+    config: "BenchmarkConfig | None"
+    built_versions: dict[str, int]
+
+
 @dataclass
 class Dataset:
     """A built benchmark: databases plus train/dev examples."""
@@ -110,20 +124,42 @@ class Dataset:
     examples: list[Example] = field(default_factory=list)
     databases: dict[str, Database] = field(default_factory=dict)
     # The recipe this dataset was built from (set by build_benchmark).
-    # Parallel evaluation workers use it to rebuild the dataset in-process,
-    # since live sqlite3 connections cannot cross a process boundary.
+    # The result cache keys on it, which is sound only while as_built().
     config: "BenchmarkConfig | None" = None
     # Each database's data_version when build_benchmark returned (set only
     # there); a later write bumps the live version past it.
     built_versions: dict[str, int] = field(default_factory=dict)
 
+    def image(self) -> DatasetImage:
+        """A :class:`DatasetImage` of the current content (writes included)."""
+        return DatasetImage(
+            name=self.name,
+            examples=list(self.examples),
+            databases={db_id: database.image() for db_id, database in self.databases.items()},
+            config=self.config,
+            built_versions=dict(self.built_versions),
+        )
+
+    @classmethod
+    def from_image(cls, image: DatasetImage) -> "Dataset":
+        """A dataset whose databases hold exactly ``image``'s content and versions."""
+        return cls(
+            name=image.name,
+            examples=list(image.examples),
+            databases={
+                db_id: Database.from_image(database)
+                for db_id, database in image.databases.items()
+            },
+            config=image.config,
+            built_versions=dict(image.built_versions),
+        )
+
     def as_built(self) -> bool:
         """True while ``config`` rebuilds exactly this dataset's content.
 
         That holds from ``build_benchmark`` until the first write to any
-        database (``Database.apply_write``, ``mark_mutated``).  Process-pool
-        workers rebuild from ``config`` and the result cache keys on it, so
-        both require it.
+        database (``Database.apply_write``, ``mark_mutated``).  The result
+        cache keys on ``config``, so it requires it.
         """
         return self.config is not None and self.built_versions == {
             db_id: database.data_version for db_id, database in self.databases.items()

@@ -6,6 +6,12 @@ rows, and offers value lookups used by BRIDGE-style DB-content matching.
 It also owns the read-only replica pool that
 :func:`~repro.dbengine.executor.execute_sql` reads through: the pool is
 built with the database and closed with it.
+
+:meth:`Database.image` takes a picklable :class:`DatabaseImage` of the
+content (SQLite's ``serialize``) and :meth:`Database.from_image` opens
+an in-memory database from one, in milliseconds and with exactly the
+imaged rows; the process pool of ``repro.core.parallel`` hands its
+workers the coordinator's databases this way.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.dbengine.pool import ReadConnectionPool
@@ -21,19 +28,50 @@ from repro.schema.ddl import render_schema_ddl
 from repro.schema.model import ColumnType, DatabaseSchema
 
 
+@dataclass(frozen=True)
+class DatabaseImage:
+    """A picklable copy of one :class:`Database` at one ``data_version``.
+
+    ``data`` is the master connection's ``serialize()`` bytes and
+    ``value_cache`` the distinct-value lists cached at that version, so a
+    restored database answers :meth:`Database.column_values` without
+    re-running its ``SELECT DISTINCT``s.
+    """
+
+    schema: DatabaseSchema
+    data: bytes
+    data_version: int
+    value_cache: dict[tuple[str, str, int], list[object]]
+
+
 class Database:
     """A live SQLite database plus its in-memory schema model."""
 
     def __init__(self, schema: DatabaseSchema, path: str | Path | None = None) -> None:
+        self._open(schema, str(path) if path is not None else ":memory:")
+        self._create_tables()
+
+    @classmethod
+    def from_image(cls, image: DatabaseImage) -> "Database":
+        """An in-memory database holding exactly ``image``'s content and version."""
+        database = cls.__new__(cls)
+        database._open(image.schema, ":memory:")
+        database.connection.deserialize(image.data)
+        database._value_cache = dict(image.value_cache)
+        database.data_version = image.data_version
+        return database
+
+    def _open(self, schema: DatabaseSchema, path: str) -> None:
         self.schema = schema
-        self._path = str(path) if path is not None else ":memory:"
+        self._path = path
         # check_same_thread=False lets the serving engine's worker threads
         # share this connection; the lock serializes access.  Direct
         # writers must call mark_mutated themselves.
         self.connection = sqlite3.connect(self._path, check_same_thread=False)
         self.lock = threading.RLock()
+        # A connection setting, not part of the content: an image does not
+        # carry it, so every open sets it.
         self.connection.execute("PRAGMA foreign_keys = ON")
-        self._create_tables()
         self._value_cache: dict[tuple[str, str, int], list[object]] = {}
         # Monotonic content-version counter; execution caches key on it so
         # any mutation invalidates every cached result for this database.
@@ -45,6 +83,16 @@ class Database:
         self._pool = ReadConnectionPool(self)
 
     # -- lifecycle ------------------------------------------------------
+
+    def image(self) -> DatabaseImage:
+        """A :class:`DatabaseImage` of the current content, taken under the lock."""
+        with self.lock:
+            return DatabaseImage(
+                schema=self.schema,
+                data=self.connection.serialize(),
+                data_version=self.data_version,
+                value_cache=dict(self._value_cache),
+            )
 
     def _create_tables(self) -> None:
         existing = self.connection.execute(

@@ -191,7 +191,7 @@ class ServeStats:
         return dict(vars(self))
 
 
-#: ``ResponseCache.stats()`` lifetime key -> metric, folded once at close.
+#: ``ResponseCache.stats()`` lifetime key -> metric, folded by ``_fold_counters``.
 _SERVE_CACHE_METRICS = {
     name: f"serve_cache_{name}"
     for name in ("stores", "evictions", "invalidations")
@@ -331,8 +331,9 @@ class ServingEngine:
         self.response_cache: ResponseCache | None = (
             ResponseCache() if self.config.response_cache else None
         )
-        self._cache_stats_at_start: dict[str, int] = {}
-        self._pool_stats_at_start: dict[str, int] = {}
+        # The cumulative counters as of the last fold into the registry.
+        self._cache_stats_folded: dict[str, int] = {}
+        self._pool_stats_folded: dict[str, int] = {}
         self.stats = ServeStats()
         # One decode scheduler per engine: every micro-batch runs under a
         # decode window so member requests' draws go through the batched
@@ -373,11 +374,11 @@ class ServingEngine:
             raise ServeError("engine is closed and cannot be restarted")
         self.warmup()
         if self.response_cache is not None:
-            self._cache_stats_at_start = self.response_cache.stats()
+            self._cache_stats_folded = self.response_cache.stats()
             for database in self._databases.values():
                 database.add_mutation_listener(self._on_mutation)
             self._listening = True
-        self._pool_stats_at_start = self.pool_stats()
+        self._pool_stats_folded = self.pool_stats()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve"
         )
@@ -399,37 +400,39 @@ class ServingEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        self._fold_counters()
         if self.response_cache is not None and self._listening:
             # Run the teardown exactly once: a second close() must not
-            # double-remove listeners or double-ingest the cache deltas.
+            # double-remove listeners.
             self._listening = False
             for database in self._databases.values():
                 database.remove_mutation_listener(self._on_mutation)
-            tracer = get_tracer()
-            if tracer.enabled:
-                # Hits and misses arrive per request through
-                # ingest_serve_span; only the lifetime counters fold here.
-                ingest_deltas(
-                    tracer.metrics,
-                    self._cache_stats_at_start,
-                    self.response_cache.stats(),
-                    _SERVE_CACHE_METRICS,
-                )
-        if self._started:
-            # Once per engine lifetime (``_started`` drops below): fold
-            # this engine's share of the databases' cumulative read-path
-            # counters into ``pool_*`` metrics.
-            tracer = get_tracer()
-            if tracer.enabled:
-                ingest_deltas(
-                    tracer.metrics,
-                    self._pool_stats_at_start,
-                    self.pool_stats(),
-                    POOL_METRICS,
-                    method="serve",
-                    benchmark=self.dataset.name,
-                )
         self._started = False
+
+    def _fold_counters(self) -> None:
+        """Fold the lifetime counters' growth since the last fold into the
+        ambient tracer's registry, then advance the baselines.
+
+        The response cache's stores, evictions and invalidations become
+        ``serve_cache_*`` counters (hits and misses arrive per request
+        through :func:`ingest_serve_span`), and this engine's share of
+        its databases' read-path counters becomes ``pool_*``.  ``close``
+        folds the rest; a gateway shard also folds before every
+        ``metrics`` reply, so ``/metrics`` carries them while it serves.
+        """
+        tracer = get_tracer()
+        if not (self._started and tracer.enabled):
+            return
+        if self.response_cache is not None:
+            cache = self.response_cache.stats()
+            ingest_deltas(tracer.metrics, self._cache_stats_folded, cache, _SERVE_CACHE_METRICS)
+            self._cache_stats_folded = cache
+        pool = self.pool_stats()
+        ingest_deltas(
+            tracer.metrics, self._pool_stats_folded, pool, POOL_METRICS,
+            method="serve", benchmark=self.dataset.name,
+        )
+        self._pool_stats_folded = pool
 
     def _on_mutation(self, db_id: str, version: int) -> None:
         """Mutation-listener hook: purge the mutated database's entries."""

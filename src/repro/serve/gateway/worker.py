@@ -10,8 +10,9 @@ and making propagation explicit is the point.  The ``ping`` reply
 reports the value the worker applied.
 
 Each worker rebuilds the dataset deterministically from the picklable
-:class:`~repro.datagen.benchmark.BenchmarkConfig` (the same trick the
-parallel evaluator uses), derives its owned ``db_id`` slice from the
+:class:`~repro.datagen.benchmark.BenchmarkConfig` (the gateway parent
+holds no dataset whose image it could send, as the parallel evaluator
+does), derives its owned ``db_id`` slice from the
 shared :class:`~repro.serve.gateway.ring.HashRing` parameters, and runs
 a :class:`~repro.serve.engine.ServingEngine` restricted to that slice
 (``ServeConfig.db_ids``) under its own ambient tracer.  The parent
@@ -23,7 +24,8 @@ its tracer and folds the stage spans of the computations it ran into
 the tracer's registry with :func:`~repro.obs.registry.ingest_span`, as
 offline runs do, so a shard keeps no span: ``/metrics`` carries them
 as ``stage_seconds``, ``failures``, ``llm_calls`` and the span-counter
-families.
+families.  Before a ``metrics`` reply the engine also folds in its
+response-cache and read-path counters' growth since the last reply.
 
 Inputs/outputs: frames in (``serve`` / ``apply`` / ``invalidate`` /
 ``stats`` / ``metrics`` / ``ping`` / ``shutdown``); counter dicts, the
@@ -142,6 +144,7 @@ def _dispatch(message, engine, dataset, tracer, shard_id, owned):
             "pool": engine.pool_stats(),
         }
     if op == "metrics":
+        engine._fold_counters()
         return tracer.metrics
     if op == "ping":
         return {

@@ -432,6 +432,32 @@ class TestShardMetrics:
             computed = sum(entry["engine"]["computed"] for entry in gw.shard_stats())
             return responses, export, gw.metrics, shards, computed
 
+    def test_lifetime_counters_reach_the_export_once(self, workload):
+        """The engines' cache and read-path counters fold in at each scrape,
+        by their growth since the last one."""
+        distinct = list({request.key: request for request in workload}.values())
+        with ShardedGateway(
+            small_benchmark_config(), gateway_serve_config(), shards=2
+        ) as gw:
+            before = gw.shard_stats()  # warm-up checkouts precede the baseline
+            gw.serve(distinct)
+            gw.invalidate(distinct[0].db_id)
+            after = gw.shard_stats()
+            first = gw.metrics_export()
+            second = gw.metrics_export()
+
+        def growth(section, key):
+            return sum(entry[section][key] for entry in after) - sum(
+                entry[section][key] for entry in before
+            )
+
+        assert growth("cache", "stores") == len(distinct)
+        assert growth("cache", "invalidations") > 0
+        assert _counter(first, "serve_cache_stores") == growth("cache", "stores")
+        assert _counter(first, "serve_cache_invalidations") == growth("cache", "invalidations")
+        assert _counter(first, "pool_checkouts") == growth("pool", "checkouts") > 0
+        assert second["counters"] == first["counters"]
+
     def test_metrics_export_is_the_merge_of_every_registry(self, traced):
         _, export, parent, shards, _ = traced
         assert len(shards) == 2
